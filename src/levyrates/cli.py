@@ -4,8 +4,7 @@ One JSON config describes a model (curve, family, phi) plus per-command
 parameters. Output files are deterministic for a fixed config and seed,
 down to the byte: every file starts with comment lines naming the units
 and a hash of the config+seed, floats print with 17 significant digits,
-and Monte Carlo streams are derived per row index so threading cannot
-reorder randomness.
+and Monte Carlo streams are derived per row index.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 validation
 failure.
@@ -19,7 +18,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -111,11 +109,6 @@ def config_hash(cfg: dict, seed: int) -> str:
     """Stable 16-hex-digit digest of the config document and seed."""
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")) + f"|seed={seed}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _clone(model: RateModel) -> RateModel:
-    # fresh evaluator cache so worker threads never share mutable panels
-    return RateModel(ts=model.ts, fam=model.fam, phi=model.phi, quad=model.quad)
 
 
 # -- output ------------------------------------------------------------------
@@ -277,34 +270,16 @@ def cmd_surface(cfg: dict, seed: int, out: Optional[str], args) -> int:
     if not expiries or not strikes:
         raise ConfigError("surface needs nonempty expiries and strikes")
 
-    tasks = [(i, e, k) for i, (e, k) in enumerate((e, k) for e in expiries for k in strikes)]
-
-    def price_expiry(chunk) -> List[tuple]:
-        local = _clone(model)
-        rows = []
-        for i, e, k in chunk:
-            spec = OptionSpec(expiry=e, maturity=T, strike=k)
-            entry = _option_entry(local, spec, args.mc, args.paths, i, seed)
-            row = [e, k, entry["price"], entry["status"]]
-            row.append(entry.get("xi_star", math.nan))
-            row.append(entry.get("residual", math.nan))
-            if args.mc:
-                row.extend([entry["mc_price"], entry["mc_std_error"]])
-            rows.append((i, tuple(row)))
-        return rows
-
-    # fan out whole expiries; each worker owns a model clone, assembly is
-    # ordered by row index so threading never changes the file
-    by_expiry = [[rec for rec in tasks if rec[1] == e] for e in expiries]
-    results: List[tuple] = []
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for rows in pool.map(price_expiry, by_expiry):
-                results.extend(rows)
-    else:
-        for chunk in by_expiry:
-            results.extend(price_expiry(chunk))
-    results.sort(key=lambda rec: rec[0])
+    rows = []
+    for i, (e, k) in enumerate((e, k) for e in expiries for k in strikes):
+        spec = OptionSpec(expiry=e, maturity=T, strike=k)
+        entry = _option_entry(model, spec, args.mc, args.paths, i, seed)
+        row = [e, k, entry["price"], entry["status"]]
+        row.append(entry.get("xi_star", math.nan))
+        row.append(entry.get("residual", math.nan))
+        if args.mc:
+            row.extend([entry["mc_price"], entry["mc_std_error"]])
+        rows.append(row)
 
     columns = ["expiry", "strike", "price", "status", "xi_star", "residual"]
     if args.mc:
@@ -315,7 +290,7 @@ def cmd_surface(cfg: dict, seed: int, out: Optional[str], args) -> int:
         _UNITS,
         f"config_hash={config_hash(cfg, seed)} seed={seed}",
     ]
-    _write_lines(out, _csv_lines(header, columns, [r for _, r in results]))
+    _write_lines(out, _csv_lines(header, columns, rows))
     return 0
 
 
@@ -378,6 +353,10 @@ _BENCH_MODELS = {
 }
 
 
+# timed runs per family in `bench`; the table keeps the fastest
+_BENCH_RUNS = 3
+
+
 def bench_grid(cfg: Optional[dict]):
     """(expiries, strike factors, tenor) for the benchmark, 100 points."""
     blk = (cfg or {}).get("bench") or {}
@@ -396,33 +375,35 @@ def bench_grid(cfg: Optional[dict]):
 def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:
     """Time 100 analytic call prices for each driver family.
 
-    Timings go to stdout; the optional output file carries only the price
-    values so reruns stay byte-identical.
+    Each family is priced _BENCH_RUNS times on a fresh model (cold
+    evaluator caches), the runs of the families interleaved, and the table
+    reports each family's fastest run: a slow spell of a shared host that
+    hits one run does not decide the ordering. Timings go to stdout; the
+    optional output file carries only the price values so reruns stay
+    byte-identical.
     """
     expiries, factors, tenor = bench_grid(cfg)
     n = len(expiries) * len(factors)
-    rows = []
-    timings = []
-    for name, mcfg in _BENCH_MODELS.items():
-        model = model_from_config(mcfg)
-        P0 = model.ts.discount_factor
-        jobs = []
-        for e in expiries:
-            fwd = float(P0(e + tenor)) / float(P0(e))
-            for f in factors:
-                jobs.append(OptionSpec(expiry=e, maturity=e + tenor, strike=f * fwd))
-        t0 = time.perf_counter()
-        prices = [price_call(model, spec).price for spec in jobs]
-        elapsed = time.perf_counter() - t0
-        timings.append((name, elapsed, 1e3 * elapsed / n))
-        for spec, p in zip(jobs, prices):
-            rows.append((name, spec.expiry, spec.maturity, spec.strike, p))
+    best: Dict[str, float] = {}
+    rows: Dict[str, list] = {}
+    for _ in range(_BENCH_RUNS):
+        for name, mcfg in _BENCH_MODELS.items():
+            model = model_from_config(mcfg)
+            P0 = model.ts.discount_factor
+            jobs = []
+            for e in expiries:
+                fwd = float(P0(e + tenor)) / float(P0(e))
+                for f in factors:
+                    jobs.append(OptionSpec(expiry=e, maturity=e + tenor, strike=f * fwd))
+            t0 = time.perf_counter()
+            prices = [price_call(model, spec).price for spec in jobs]
+            best[name] = min(best.get(name, math.inf), time.perf_counter() - t0)
+            rows[name] = [(name, s.expiry, s.maturity, s.strike, p) for s, p in zip(jobs, prices)]
 
     sys.stdout.write(f"{'family':<8}{'prices':>8}{'seconds':>12}{'ms/price':>12}\n")
-    for name, elapsed, per in timings:
-        sys.stdout.write(f"{name:<8}{n:>8}{elapsed:>12.3f}{per:>12.2f}\n")
-    slowest = max(timings, key=lambda r: r[1])[0]
-    sys.stdout.write(f"slowest: {slowest}\n")
+    for name, elapsed in best.items():
+        sys.stdout.write(f"{name:<8}{n:>8}{elapsed:>12.3f}{1e3 * elapsed / n:>12.2f}\n")
+    sys.stdout.write(f"slowest: {max(best, key=best.get)}\n")
 
     if out is not None:
         header = [
@@ -430,9 +411,10 @@ def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:
             _UNITS,
             f"config_hash={config_hash(cfg or {}, seed)} seed={seed}",
         ]
+        table = [row for family in rows.values() for row in family]
         _write_lines(
             out,
-            _csv_lines(header, ["family", "expiry", "maturity", "strike", "price"], rows),
+            _csv_lines(header, ["family", "expiry", "maturity", "strike", "price"], table),
         )
     return 0
 
@@ -459,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", help="output file path (default: stdout)")
         q.add_argument("--mc", action="store_true", help="add Monte Carlo price columns")
         q.add_argument("--paths", type=int, default=100_000, help="Monte Carlo path count")
-        q.add_argument("--threads", type=int, default=1, help="worker threads for grids")
     return p
 
 
@@ -479,8 +460,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
         if args.paths < 1000:
             raise ConfigError(f"--paths must be at least 1000, got {args.paths}")
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be positive, got {args.threads}")
         if args.command == "bench":
             cfg = load_config(args.config) if args.config else None
         else:

@@ -11,8 +11,12 @@ all sums run in log space with a max-exponent shift; the realized driver
 value never overflows a price.
 
 A KernelEvaluator owns the panelization for one (model, valuation time)
-pair. Panels only ever split, so refinement is monotone and evaluations
-are deterministic for a fixed call sequence; the critical-level solver
+pair: a sorted edge array and the node data of every panel in
+contiguous, panel-sorted arrays, so an integral from a lower bound is a
+sum from an array offset. Refinement runs the panel core of
+`quadrature`; scalar and batch evaluations share one vectorized routine.
+Panels only ever split, so refinement is monotone and evaluations are
+deterministic for a fixed call sequence; the critical-level solver
 relies on that by freezing the panelization while it brackets.
 """
 
@@ -21,14 +25,14 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .levy import LevyFamily
-from .martingales import ModelState, PhiFunction
-from .quadrature import gauss_legendre_nodes
+from .martingales import ModelState, PhiFunction, _check_state_support, log_martingale_value
+from .quadrature import W16, dyadic_breakpoints, panel_estimates, panel_nodes, refine_panels, split
 from .termstructure import TermStructure
 
 __all__ = [
@@ -123,10 +127,14 @@ class RateModel:
 class KernelEvaluator:
     """Adaptive panelization of s -> rho_s M(t, s, xi) over [t, S_max].
 
-    Node data (log rho, phi, psi(phi)) is cached per panel, so changing
-    xi costs one fused multiply-add plus exponentials per node. Panels
-    split monotonically; integrals over [lower, S_max] require `lower` to
-    be registered as a breakpoint first.
+    The panel edges run sorted and contiguous from t to S_max. Node data
+    (log rho - t psi(phi), and phi) sits in contiguous arrays in panel
+    order, shape (panels, 24) in the layout of quadrature.NODES, with flat
+    copies of the 16-point nodes and their weights; all of it is rebuilt
+    in one call whenever the edges change. Changing xi then costs one
+    fused multiply-add plus exponentials per node, and an integral over
+    [lower, S_max] is a sum from the array offset of panel `lower`, which
+    is registered as a breakpoint first. Panels split monotonically.
     """
 
     def __init__(self, model: RateModel, t: float):
@@ -140,11 +148,6 @@ class KernelEvaluator:
                 f"valuation time {t} is beyond the truncation horizon {self.S:.1f}; "
                 "the initial curve carries no mass there"
             )
-        x16, w16 = gauss_legendre_nodes(16)
-        x8, w8 = gauss_legendre_nodes(8)
-        self._nodes = np.concatenate([x16, x8])
-        self._w16 = w16
-        self._w8 = w8
 
         # tail estimate ingredients: sup over s >= S of log M(t, s, xi)
         tail_phi = _phi_tail_values(model.phi, self.S)
@@ -153,84 +156,37 @@ class KernelEvaluator:
         self._tail_psi = np.asarray(model.fam._exponent_impl(tail_phi), dtype=float)
         self._log_tail_mass = math.log(float(model.ts.discount_factor(self.S)))
 
-        # dyadically widening panels from t capture the density's decay
-        # scale no matter where it sits between t and the horizon
-        bks: List[float] = [self.t]
-        width = 0.25
-        while bks[-1] + width < self.S:
-            bks.append(bks[-1] + width)
-            width *= 2.0
-        bks.append(self.S)
-        self._los: List[float] = []
-        self._his: List[float] = []
-        self._node_s: List[np.ndarray] = []
-        self._node_base: List[np.ndarray] = []  # log rho - t psi(phi)
-        self._node_phi: List[np.ndarray] = []
-        for lo, hi in zip(bks[:-1], bks[1:]):
-            self._append_panel(lo, hi)
+        self._set_edges(dyadic_breakpoints(self.t, self.S))
 
     # -- panel bookkeeping -------------------------------------------------
 
-    def _build_nodes(self, lo: float, hi: float):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        s = mid + half * self._nodes
+    def _node_data(self, edges: np.ndarray):
+        """(log rho - t psi(phi), phi) on the nodes of the given panels."""
+        s = panel_nodes(edges)
         phi_vals = np.asarray(self.model.phi(s), dtype=float)
         self.model.fam.require_admissible(phi_vals)
         psi_vals = np.asarray(self.model.fam._exponent_impl(phi_vals), dtype=float)
-        base = np.asarray(self.model.ts.log_density(s), dtype=float) - self.t * psi_vals
-        return s, base, phi_vals
+        return np.asarray(self.model.ts.log_density(s), dtype=float) - self.t * psi_vals, phi_vals
 
-    def _append_panel(self, lo: float, hi: float):
-        s, base, phi_vals = self._build_nodes(lo, hi)
-        self._los.append(lo)
-        self._his.append(hi)
-        self._node_s.append(s)
-        self._node_base.append(base)
-        self._node_phi.append(phi_vals)
-
-    def _split(self, k: int):
-        lo, hi = self._los[k], self._his[k]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureError(
-                f"panel [{lo}, {hi}] at floating-point resolution", panels=len(self._los)
-            )
-        s, base, phi_vals = self._build_nodes(lo, mid)
-        self._los[k], self._his[k] = lo, mid
-        self._node_s[k], self._node_base[k], self._node_phi[k] = s, base, phi_vals
-        s2, base2, phi2 = self._build_nodes(mid, hi)
-        self._los.insert(k + 1, mid)
-        self._his.insert(k + 1, hi)
-        self._node_s.insert(k + 1, s2)
-        self._node_base.insert(k + 1, base2)
-        self._node_phi.insert(k + 1, phi2)
+    def _set_edges(self, edges: np.ndarray) -> None:
+        self._edges = edges
+        self._base, self._phi = self._node_data(edges)
+        self._w = (0.5 * (edges[1:] - edges[:-1])[:, None] * W16).ravel()
+        self._base16 = self._base[:, :16].ravel()
+        self._phi16 = self._phi[:, :16].ravel()
 
     def ensure_breakpoint(self, x: float) -> None:
         """Split so that x is a panel edge (needed before integrating from x)."""
         x = float(x)
         if x <= self.t or x >= self.S:
             return
-        k = int(np.searchsorted(np.asarray(self._los), x, side="right")) - 1
-        if self._los[k] == x:
-            return
-        lo, hi = self._los[k], self._his[k]
-        s, base, phi_vals = self._build_nodes(lo, x)
-        self._los[k], self._his[k] = lo, x
-        self._node_s[k], self._node_base[k], self._node_phi[k] = s, base, phi_vals
-        s2, base2, phi2 = self._build_nodes(x, hi)
-        self._los.insert(k + 1, x)
-        self._his.insert(k + 1, hi)
-        self._node_s.insert(k + 1, s2)
-        self._node_base.insert(k + 1, base2)
-        self._node_phi.insert(k + 1, phi2)
+        k = int(np.searchsorted(self._edges, x, side="right")) - 1
+        if self._edges[k] != x:
+            self._set_edges(split(self._edges, k, x))
 
     def _first_panel(self, lower: float) -> int:
-        if lower <= self.t:
-            return 0
-        if lower >= self.S:
-            return len(self._los)
-        self.ensure_breakpoint(lower)
-        return int(np.searchsorted(np.asarray(self._los), lower, side="left"))
+        """Index of the panel from lower on; lower must be registered."""
+        return int(np.searchsorted(self._edges, min(max(lower, self.t), self.S)))
 
     # -- tail --------------------------------------------------------------
 
@@ -239,21 +195,7 @@ class KernelEvaluator:
         g = self._tail_phi * xi - self.t * self._tail_psi
         return self._log_tail_mass + float(np.max(g))
 
-    # -- scalar evaluation and refinement -----------------------------------
-
-    def _panel_sums(self, k: int, xi: float, shift: float, weighted: bool):
-        half = 0.5 * (self._his[k] - self._los[k])
-        e = self._node_base[k] + self._node_phi[k] * xi - shift
-        vals = np.exp(e)
-        if weighted:
-            vals = vals * self._node_phi[k]
-        hi_sum = half * float(vals[:16] @ self._w16)
-        lo_sum = half * float(vals[16:] @ self._w8)
-        return hi_sum, abs(hi_sum - lo_sum)
-
-    def _global_shift(self, xi: float) -> float:
-        m = max(float(np.max(base + ph * xi)) for base, ph in zip(self._node_base, self._node_phi))
-        return m
+    # -- refinement and evaluation -------------------------------------------
 
     def refine(self, xi: float, lower: Optional[float] = None, weighted: bool = False) -> None:
         """Split panels on [lower, S_max] until the integral for this xi
@@ -264,91 +206,76 @@ class KernelEvaluator:
         log_tail_bound) and cannot be reduced by splitting.
         """
         lower = self.t if lower is None else float(lower)
-        rel_tol = self.model.quad.rel_tol
-        shift = self._global_shift(xi)
+        self.ensure_breakpoint(lower)
         start = self._first_panel(lower)
-        sums = {}
-        for k in range(start, len(self._los)):
-            sums[k] = self._panel_sums(k, xi, shift, weighted)
-        if not sums:
+        if start >= len(self._edges) - 1:
             return
-        for _ in range(self.model.quad.max_subdivisions):
-            total = sum(v for v, _ in sums.values())
-            err = sum(e for _, e in sums.values())
-            if err <= rel_tol * abs(total):
-                return
-            if len(self._los) >= self.model.quad.max_subdivisions:
-                raise QuadratureError(
-                    f"kernel quadrature stalled at {len(self._los)} panels "
-                    f"(t={self.t}, lower={lower}, xi={xi}): err={err:.3e}, total={total:.3e}",
-                    panels=len(self._los),
-                    rel_err=err / max(abs(total), 1e-300),
-                )
-            worst = max(sums, key=lambda k: sums[k][1])
-            if sums[worst][1] <= 0.0:
-                return  # estimates exhausted at floating-point resolution
-            self._split(worst)
-            shifted = {}
-            for k, v in sums.items():
-                shifted[k if k <= worst else k + 1] = v
-            sums = shifted
-            sums[worst] = self._panel_sums(worst, xi, shift, weighted)
-            sums[worst + 1] = self._panel_sums(worst + 1, xi, shift, weighted)
-        raise QuadratureError(
-            f"kernel quadrature did not converge within the subdivision budget "
-            f"(t={self.t}, lower={lower}, xi={xi})",
-            panels=len(self._los),
-        )
+        shift = float(np.max(self._base + self._phi * xi))
+
+        def values(base, phi):
+            vals = np.exp(base + phi * xi - shift)
+            return vals * phi if weighted else vals
+
+        I, E = panel_estimates(self._edges[start:], values(self._base[start:], self._phi[start:]))
+        try:
+            edges, _, _ = refine_panels(
+                self._edges,
+                I,
+                E,
+                lambda e: values(*self._node_data(e)),
+                rel_tol=self.model.quad.rel_tol,
+                max_panels=self.model.quad.max_subdivisions,
+                start=start,
+            )
+        except QuadratureError as exc:  # name the state; the core knows only its panels
+            exc.args = (f"kernel quadrature (t={self.t}, lower={lower}, xi={xi}): {exc}",)
+            raise
+        if edges is not self._edges:
+            self._set_edges(edges)
+
+    def _integrals(
+        self, xi: np.ndarray, lowers: Sequence[float], phi_average: bool, chunk: int = 20000
+    ) -> Dict[float, np.ndarray]:
+        """log int_L^S rho M, or the phi average over [L, S], per xi and L.
+
+        Panels are used as-is, 16-point rule only; the shift per xi is the
+        largest exponent over all nodes.
+        """
+        for L in lowers:
+            self.ensure_breakpoint(L)  # before any offset is read
+        offsets = {float(L): 16 * self._first_panel(L) for L in lowers}
+        w_full, base, phiv = self._w, self._base16, self._phi16
+        wphi = w_full * phiv if phi_average else None
+        out = {L: np.empty(xi.shape, dtype=float) for L in offsets}
+        for i0 in range(0, xi.size, chunk):
+            x = xi[i0 : i0 + chunk, None]
+            E = x * phiv[None, :] + base[None, :]
+            shift = E.max(axis=1)
+            M = np.exp(E - shift[:, None])
+            for L, off in offsets.items():
+                vals = M[:, off:] @ w_full[off:]
+                if phi_average:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        out[L][i0 : i0 + chunk] = (M[:, off:] @ wphi[off:]) / vals
+                else:
+                    with np.errstate(divide="ignore"):
+                        out[L][i0 : i0 + chunk] = np.log(vals) + shift
+        return out
 
     def log_integral(self, xi: float, lower: Optional[float] = None) -> float:
         """log of int_lower^S rho_s M(t,s,xi) ds on the current panels."""
         lower = self.t if lower is None else float(lower)
-        start = self._first_panel(lower)
-        if start >= len(self._los):
-            return -math.inf
-        shift = self._global_shift(xi)
-        total = 0.0
-        for k in range(start, len(self._los)):
-            v, _ = self._panel_sums(k, xi, shift, weighted=False)
-            total += v
-        if total <= 0.0:
-            return -math.inf
-        return math.log(total) + shift
+        return float(self._integrals(np.array([float(xi)]), [lower], False)[lower][0])
 
     def weighted_ratio(self, xi: float, lower: Optional[float] = None) -> float:
         """Phi average: int phi rho M / int rho M over [lower, S_max]."""
         lower = self.t if lower is None else float(lower)
-        start = self._first_panel(lower)
-        if start >= len(self._los):
+        if lower >= self.S:
             raise DomainError(f"no mass beyond lower={lower}")
-        shift = self._global_shift(xi)
-        num = 0.0
-        den = 0.0
-        for k in range(start, len(self._los)):
-            v, _ = self._panel_sums(k, xi, shift, weighted=False)
-            w, _ = self._panel_sums(k, xi, shift, weighted=True)
-            den += v
-            num += w
-        if den <= 0.0:
+        ratio = float(self._integrals(np.array([float(xi)]), [lower], True)[lower][0])
+        if not math.isfinite(ratio):
             raise NumericalError(f"kernel integral vanished at xi={xi}, lower={lower}")
-        return num / den
-
-    # -- vectorized evaluation over many driver values ----------------------
-
-    def _flat_arrays(self, lowers: Sequence[float]):
-        for L in lowers:
-            self._first_panel(L)  # registers breakpoints
-        halves = np.asarray(self._his) - np.asarray(self._los)
-        w_full = np.concatenate(
-            [0.5 * h * self._w16 for h in halves]
-        )
-        base = np.concatenate([b[:16] for b in self._node_base])
-        phiv = np.concatenate([p[:16] for p in self._node_phi])
-        offsets = {}
-        for L in lowers:
-            start = self._first_panel(L)
-            offsets[float(L)] = 16 * start
-        return w_full, base, phiv, offsets
+        return ratio
 
     def prepare(self, xi_probes, lowers: Sequence[float]) -> None:
         """Refine panels for a batch: every probe xi at every lower bound.
@@ -370,48 +297,16 @@ class KernelEvaluator:
         xi values first; the 16-point rule on panels refined to rel_tol
         leaves bias far below Monte Carlo resolution.
         """
-        xi = np.asarray(xi, dtype=float)
-        w_full, base, phiv, offsets = self._flat_arrays(lowers)
-        out = {L: np.empty(xi.shape, dtype=float) for L in offsets}
-        for i0 in range(0, xi.size, chunk):
-            x = xi[i0 : i0 + chunk, None]
-            E = x * phiv[None, :] + base[None, :]
-            shift = E.max(axis=1)
-            M = np.exp(E - shift[:, None])
-            for L, off in offsets.items():
-                vals = M[:, off:] @ w_full[off:]
-                with np.errstate(divide="ignore"):
-                    out[L][i0 : i0 + chunk] = np.log(vals) + shift
-        return out
+        return self._integrals(np.asarray(xi, dtype=float), lowers, False, chunk)
 
     def phi_average_batch(
         self, xi: np.ndarray, lowers: Sequence[float], chunk: int = 20000
     ) -> Dict[float, np.ndarray]:
         """Phi_tT for an array of xi at several lower bounds T."""
-        xi = np.asarray(xi, dtype=float)
-        w_full, base, phiv, offsets = self._flat_arrays(lowers)
-        wphi = w_full * phiv
-        out = {L: np.empty(xi.shape, dtype=float) for L in offsets}
-        for i0 in range(0, xi.size, chunk):
-            x = xi[i0 : i0 + chunk, None]
-            E = x * phiv[None, :] + base[None, :]
-            shift = E.max(axis=1)
-            M = np.exp(E - shift[:, None])
-            for L, off in offsets.items():
-                den = M[:, off:] @ w_full[off:]
-                num = M[:, off:] @ wphi[off:]
-                out[L][i0 : i0 + chunk] = num / den
-        return out
+        return self._integrals(np.asarray(xi, dtype=float), lowers, True, chunk)
 
 
 # -- public operations ------------------------------------------------------
-
-
-def _state_for(model: RateModel, state: ModelState) -> ModelState:
-    from .martingales import _check_state_support
-
-    _check_state_support(model.fam, state)
-    return state
 
 
 def kernel_integral(model: RateModel, state: ModelState, lower: Optional[float] = None) -> float:
@@ -421,7 +316,7 @@ def kernel_integral(model: RateModel, state: ModelState, lower: Optional[float] 
     over driver draws recovers P0(t)); with lower = T it is the
     numerator of the bond price.
     """
-    _state_for(model, state)
+    _check_state_support(model.fam, state)
     lower = state.t if lower is None else float(lower)
     if lower < state.t:
         raise DomainError(f"kernel lower bound {lower} must be >= state time {state.t}")
@@ -434,7 +329,7 @@ def kernel_integral(model: RateModel, state: ModelState, lower: Optional[float] 
 
 def bond_price(model: RateModel, state: ModelState, T: float) -> float:
     """P_tT = kernel(T) / kernel(t); equals 1 at T = t, decreasing in T."""
-    _state_for(model, state)
+    _check_state_support(model.fam, state)
     if T < state.t:
         raise DomainError(f"bond maturity {T} before valuation time {state.t}")
     if T == state.t:
@@ -451,9 +346,7 @@ def bond_price(model: RateModel, state: ModelState, T: float) -> float:
 
 def short_rate(model: RateModel, state: ModelState) -> float:
     """r_t = rho_t M(t,t,xi) / kernel(t); strictly positive by construction."""
-    from .martingales import log_martingale_value
-
-    _state_for(model, state)
+    _check_state_support(model.fam, state)
     ev = model.evaluator(state.t)
     ev.refine(state.xi, state.t)
     log_num = float(model.ts.log_density(state.t)) + float(
@@ -467,9 +360,7 @@ def short_rate(model: RateModel, state: ModelState) -> float:
 
 def forward_rate(model: RateModel, state: ModelState, T: float) -> float:
     """f_tT = rho_T M(t,T,xi) / kernel(T) = -d/dT log P_tT; positive."""
-    from .martingales import log_martingale_value
-
-    _state_for(model, state)
+    _check_state_support(model.fam, state)
     if T < state.t:
         raise DomainError(f"forward maturity {T} before valuation time {state.t}")
     ev = model.evaluator(state.t)
@@ -491,7 +382,7 @@ def phi_average(model: RateModel, state: ModelState, T: Optional[float] = None) 
     Lies between the extremes of phi on [T, S_max]. T defaults to t,
     giving the market-price-of-risk building block Phi_tt.
     """
-    _state_for(model, state)
+    _check_state_support(model.fam, state)
     T = state.t if T is None else float(T)
     if T < state.t:
         raise DomainError(f"phi average maturity {T} before valuation time {state.t}")

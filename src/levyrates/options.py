@@ -43,7 +43,7 @@ from .levy import (
     VarianceGammaFamily,
 )
 from .martingales import ModelState
-from .quadrature import adaptive_integrate
+from .quadrature import adaptive_integrate, dyadic_breakpoints
 from .specialfn import psi_integral_batch, reg_upper_gamma
 
 __all__ = [
@@ -264,16 +264,12 @@ def _jd_weight_lower(
 def _poisson_cutoff(mean: float, tail: float) -> int:
     """Smallest n with P(Poisson(mean) > n) <= tail."""
     n = int(mean + 10.0 * math.sqrt(mean + 1.0) + 10.0)
-    # P(N > n) = 1 - Q(n+1, mean), evaluated with the in-house gamma tail
+    # P(N > n) = 1 - Q(n+1, mean), the regularized upper incomplete gamma
     while 1.0 - reg_upper_gamma(float(n + 1), mean) > tail:
         n += 10
         if n > 100000:
             raise NumericalError("jump-diffusion series cutoff ran away")
     return n
-
-
-def _default_opts(jd_series_tail: float, jd_n_max, vg_nodes: int) -> dict:
-    return {"jd_series_tail": jd_series_tail, "jd_n_max": jd_n_max, "vg_nodes": vg_nodes}
 
 
 def price_call(
@@ -313,7 +309,7 @@ def price_call(
             return CallPrice(price=0.0, status="always_otm")
         raise
 
-    opts = _default_opts(jd_series_tail, jd_n_max, vg_nodes)
+    opts = {"jd_series_tail": jd_series_tail, "jd_n_max": jd_n_max, "vg_nodes": vg_nodes}
     orient = _orientation(model)
 
     def weight(s: np.ndarray) -> np.ndarray:
@@ -325,7 +321,6 @@ def price_call(
     quad = model.quad
 
     def outer(lower: float) -> float:
-        seeds = _dyadic_seeds(lower, S)
         val, _ = adaptive_integrate(
             lambda s: np.asarray(rho(s), dtype=float) * weight(s),
             lower,
@@ -333,7 +328,7 @@ def price_call(
             rel_tol=quad.rel_tol,
             abs_tol=1e-14,
             max_panels=quad.max_subdivisions,
-            points=seeds,
+            points=dyadic_breakpoints(lower, S),
         )
         return val
 
@@ -348,16 +343,6 @@ def price_call(
 def price_call_analytic(model: RateModel, spec: OptionSpec, **kwargs) -> float:
     """Closed-form call price as a bare float (see price_call for statuses)."""
     return price_call(model, spec, **kwargs).price
-
-
-def _dyadic_seeds(lo: float, hi: float):
-    pts = [lo]
-    width = 0.25
-    while pts[-1] + width < hi:
-        pts.append(pts[-1] + width)
-        width *= 2.0
-    pts.append(hi)
-    return pts
 
 
 def price_call_mc(

@@ -7,6 +7,12 @@ meets the tolerance. Because the high-order rule on smooth integrands is
 far more accurate than the estimate (which tracks the 8-point error), the
 achieved accuracy typically lands orders of magnitude inside the target.
 
+This module is the one panel core of the package: `adaptive_integrate`
+drives it with a callable integrand, and the kernel evaluator in `curve`
+drives it with node data it caches per panel. A panel set is a sorted
+array of edges; each panel carries the 24-node layout of `NODES` (the 16
+nodes of the high rule, then the 8 of the low rule).
+
 Integrands must accept numpy arrays. Callers integrating something with
 known structure should pass seed breakpoints; a decaying integrand on a
 long interval can otherwise fool any sampled rule into a false zero.
@@ -14,8 +20,7 @@ long interval can otherwise fool any sampled rule into a false zero.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -33,22 +38,94 @@ def gauss_legendre_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return _RULE_CACHE[order]
 
 
-def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized (integral, error estimate) for a batch of panels."""
-    xh, wh = gauss_legendre_nodes(16)
-    xl, wl = gauss_legendre_nodes(8)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    # one f call over all nodes of all panels in the batch
-    pts = np.concatenate(
-        [mid[:, None] + half[:, None] * xh[None, :], mid[:, None] + half[:, None] * xl[None, :]],
-        axis=1,
-    )
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    hi_vals, lo_vals = vals[:, :16], vals[:, 16:]
-    I_hi = half * (hi_vals @ wh)
-    I_lo = half * (lo_vals @ wl)
-    return I_hi, np.abs(I_hi - I_lo)
+_X16, W16 = gauss_legendre_nodes(16)
+_X8, _W8 = gauss_legendre_nodes(8)
+NODES = np.concatenate([_X16, _X8])
+
+
+def panel_nodes(edges: np.ndarray) -> np.ndarray:
+    """Abscissae of the 24-node layout on each panel, shape (panels, 24)."""
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * NODES
+
+
+def panel_estimates(edges: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-panel (16-point integral, |16-point - 8-point|) from node values."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    hi = half * (vals[:, :16] @ W16)
+    return hi, np.abs(hi - half * (vals[:, 16:] @ _W8))
+
+
+def dyadic_breakpoints(lo: float, hi: float) -> np.ndarray:
+    """Edges from lo to hi with widths 0.25, 0.5, 1, ...
+
+    Dyadically widening panels capture a decay scale anywhere between lo
+    and hi, which equal panels on a long horizon can step over.
+    """
+    pts = [lo]
+    width = 0.25
+    while pts[-1] + width < hi:
+        pts.append(pts[-1] + width)
+        width *= 2.0
+    pts.append(hi)
+    return np.array(pts)
+
+
+def split(edges: np.ndarray, k: int, x: Optional[float] = None) -> np.ndarray:
+    """Edges with panel k cut at x, or bisected when x is None.
+
+    Raises QuadratureError when the panel is at floating-point resolution,
+    where its midpoint is one of its edges.
+    """
+    lo, hi = edges[k], edges[k + 1]
+    if x is None:
+        x = 0.5 * (lo + hi)
+    if not lo < x < hi:
+        raise QuadratureError(
+            f"panel [{lo}, {hi}] at floating-point resolution", panels=len(edges) - 1
+        )
+    return np.insert(edges, k + 1, x)
+
+
+def refine_panels(
+    edges: np.ndarray,
+    I: np.ndarray,
+    E: np.ndarray,
+    values: Callable[[np.ndarray], np.ndarray],
+    *,
+    rel_tol: float,
+    max_panels: int,
+    abs_tol: float = 0.0,
+    start: int = 0,
+) -> Tuple[np.ndarray, float, float]:
+    """Bisect the panels edges[start:], worst estimate first, to tolerance.
+
+    I and E are the integrals and error estimates of those panels;
+    values(e) returns the integrand on panel_nodes(e) for new panels.
+    Converged when sum(E) <= max(rel_tol * |sum(I)|, abs_tol); returns
+    (edges, sum(I), sum(E)). Raises QuadratureError when all panels,
+    those before start included, reach max_panels first, or when the
+    worst panel cannot be bisected.
+    """
+    while True:
+        total, err = float(I.sum()), float(E.sum())
+        target = max(rel_tol * abs(total), abs_tol)
+        if err <= target:
+            return edges, total, err
+        n = len(edges) - 1
+        if n >= max_panels:
+            raise QuadratureError(
+                f"no convergence after {n} panels on [{edges[start]}, {edges[-1]}]: "
+                f"err={err:.3e} vs target {target:.3e}",
+                panels=n,
+                rel_err=err / max(abs(total), 1e-300),
+            )
+        k = int(np.argmax(E))
+        edges = split(edges, start + k)
+        pair = edges[start + k : start + k + 3]
+        I2, E2 = panel_estimates(pair, values(pair))
+        I = np.concatenate([I[:k], I2, I[k + 1 :]])
+        E = np.concatenate([E[:k], E2, E[k + 1 :]])
 
 
 def adaptive_integrate(
@@ -66,7 +143,8 @@ def adaptive_integrate(
     Convergence: sum of panel error estimates <= max(rel_tol * |value|,
     abs_tol). `points` adds interior breakpoints to the initial panels
     (defaults to an 8-way equal split). Raises QuadratureError when the
-    panel budget is exhausted first.
+    panel budget is exhausted first, or when the worst panel has shrunk to
+    floating-point resolution and its estimate can no longer fall.
     """
     a, b = float(a), float(b)
     if not b > a:
@@ -75,39 +153,16 @@ def adaptive_integrate(
         raise QuadratureError(f"integration bounds out of order: [{a}, {b}]")
 
     if points is None:
-        bks = np.linspace(a, b, 9)
+        edges = np.linspace(a, b, 9)
     else:
         interior = [p for p in points if a < p < b]
-        bks = np.unique(np.concatenate([[a, b], np.asarray(interior, dtype=float)]))
+        edges = np.unique(np.concatenate([[a, b], np.asarray(interior, dtype=float)]))
 
-    los, his = bks[:-1], bks[1:]
-    I, E = _panel_values(f, los, his)
-    panels = list(zip(los.tolist(), his.tolist(), I.tolist(), E.tolist()))
+    def values(e: np.ndarray) -> np.ndarray:
+        return np.asarray(f(panel_nodes(e).ravel()), dtype=float).reshape(-1, 24)
 
-    heap = [(-e, k) for k, (_, _, _, e) in enumerate(panels)]
-    heapq.heapify(heap)
-
-    while True:
-        total = sum(p[2] for p in panels)
-        err = sum(p[3] for p in panels)
-        if err <= max(rel_tol * abs(total), abs_tol):
-            return total, err
-        if len(panels) >= max_panels:
-            raise QuadratureError(
-                f"no convergence after {len(panels)} panels on [{a}, {b}]: "
-                f"err={err:.3e} vs target {max(rel_tol * abs(total), abs_tol):.3e}",
-                panels=len(panels),
-                rel_err=err / max(abs(total), 1e-300),
-            )
-        neg_e, k = heapq.heappop(heap)
-        lo, hi, _, _ = panels[k]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # panel at floating-point resolution; its estimate is stuck
-            panels[k] = (lo, hi, panels[k][2], 0.0)
-            continue
-        (I1, I2), (e1, e2) = _panel_values(f, np.array([lo, mid]), np.array([mid, hi]))
-        panels[k] = (lo, mid, float(I1), float(e1))
-        panels.append((mid, hi, float(I2), float(e2)))
-        heapq.heappush(heap, (-float(e1), k))
-        heapq.heappush(heap, (-float(e2), len(panels) - 1))
+    I, E = panel_estimates(edges, values(edges))
+    _, total, err = refine_panels(
+        edges, I, E, values, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels
+    )
+    return total, err

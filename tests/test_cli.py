@@ -53,7 +53,7 @@ def test_simulate_seed_changes_the_path(tmp_path):
     assert not filecmp.cmp(a, b, shallow=False)
 
 
-def test_surface_threading_does_not_change_bytes(tmp_path):
+def test_surface_output_deterministic(tmp_path):
     doc = dict(_model_block())
     doc["surface"] = {
         "bond_maturity": 5.0,
@@ -63,7 +63,7 @@ def test_surface_threading_does_not_change_bytes(tmp_path):
     cfg = _write(tmp_path, "surface.json", doc)
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["surface", "--config", cfg, "--out", a]) == 0
-    assert main(["surface", "--config", cfg, "--threads", "4", "--out", b]) == 0
+    assert main(["surface", "--config", cfg, "--out", b]) == 0
     assert filecmp.cmp(a, b, shallow=False)
     lines = open(a).read().splitlines()
     assert lines[4] == "expiry,strike,price,status,xi_star,residual"
@@ -212,7 +212,6 @@ def test_exit_1_bad_flag_values(tmp_path):
     cfg = _write(tmp_path, "c.json", _model_block())
     assert main(["price", "--config", cfg, "--seed", "-1"]) == 1
     assert main(["price", "--config", cfg, "--paths", "10"]) == 1
-    assert main(["surface", "--config", cfg, "--threads", "0"]) == 1
 
 
 def test_exit_2_quadrature_budget_exhausted(tmp_path, capsys):

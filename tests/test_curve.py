@@ -206,12 +206,60 @@ def test_refinement_is_stable_under_repetition(gbm_model):
 def test_breakpoint_registration_idempotent(gbm_model):
     ev = gbm_model.evaluator(0.75)
     ev.ensure_breakpoint(2.5)
-    n = len(ev._los)
+    n = len(ev._edges)
     ev.ensure_breakpoint(2.5)
-    assert len(ev._los) == n
+    assert len(ev._edges) == n
     ev.ensure_breakpoint(ev.t)  # no-op at or below t
     ev.ensure_breakpoint(ev.S + 5.0)  # no-op beyond the horizon
-    assert len(ev._los) == n
+    assert len(ev._edges) == n
+
+
+@pytest.mark.parametrize("xi", [20.0, -20.0])
+def test_split_path_matches_mpmath(xi):
+    # a steep tilt at a tight tolerance makes refine bisect panels; the
+    # oracle integrates the closed-form gbm integrand over the same
+    # truncated range [2, S_max] with mpmath
+    import mpmath
+
+    y, c, b, t = 0.03, 5.0, 1.0, 1.0
+    model = lr.RateModel(
+        ts=lr.FlatYieldCurve(y=y),
+        fam=lr.BrownianFamily(),
+        phi=lr.ExpDecayPhi(c=c, b=b),
+        quad=lr.QuadratureSettings(rel_tol=1e-13),
+    )
+    ev = model.evaluator(t)
+    panels = len(ev._edges) - 1
+    got = kernel_integral(model, ModelState(t=t, xi=xi), 2.0)
+    assert len(ev._edges) - 1 > panels
+
+    with mpmath.workdps(30):
+        def f(s):
+            phi = c * mpmath.exp(-b * s)
+            return y * mpmath.exp(-y * s) * mpmath.exp(phi * xi - t * phi * phi / 2)
+
+        S = mpmath.mpf(ev.S)
+        ref = float(mpmath.quad(f, [2, 3, 5, 10, 20, 50, 100, 200, 400, S]))
+    assert got == pytest.approx(ref, rel=1e-12)
+
+    edges = ev._edges
+    assert edges[0] == t and edges[-1] == ev.S
+    assert np.all(np.diff(edges) > 0.0)
+
+
+def test_refine_budget_error_names_the_state(flat2):
+    # an unreachable tolerance on a tiny panel budget: the error must say
+    # which valuation time and driver value failed
+    model = lr.RateModel(
+        ts=flat2,
+        fam=lr.BrownianFamily(),
+        phi=lr.ExpDecayPhi(c=0.3, b=0.02),
+        quad=lr.QuadratureSettings(rel_tol=1e-15, max_subdivisions=5),
+    )
+    with pytest.raises(lr.QuadratureError, match=r"t=1\.0, lower=3\.0, xi=0\.2") as exc_info:
+        model.evaluator(1.0).refine(0.2, 3.0)
+    assert exc_info.value.panels >= 5
+    assert exc_info.value.rel_err > 0.0
 
 
 def test_evaluator_cache_is_bounded(flat2):

@@ -67,6 +67,18 @@ def test_budget_exhaustion_raises_with_diagnostics():
     assert exc_info.value.panels == 32
 
 
+def test_panel_at_resolution_raises():
+    # one panel one ulp wide: its midpoint is an edge, so it cannot be
+    # bisected, and a noisy estimate there must not be dropped
+    rng = np.random.default_rng(0)
+
+    def noisy(x):
+        return rng.standard_normal(np.shape(x))
+
+    with pytest.raises(QuadratureError, match="floating-point resolution"):
+        adaptive_integrate(noisy, 1.0, np.nextafter(1.0, 2.0), rel_tol=1e-14, points=[])
+
+
 def test_deterministic():
     f = lambda x: np.sin(3.0 * x) * np.exp(-x)
     a = adaptive_integrate(f, 0.0, 5.0, rel_tol=1e-11)
