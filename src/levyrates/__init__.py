@@ -28,8 +28,6 @@ from .levy import (
     JumpDiffusionFamily,
     LevyFamily,
     VarianceGammaFamily,
-    excess_rate_of_return,
-    family_from_config,
     sample_path,
     spawn_stream,
 )
@@ -40,7 +38,6 @@ from .martingales import (
     PhiFunction,
     log_martingale_value,
     martingale_value,
-    phi_from_config,
 )
 from .quadrature import adaptive_integrate
 from .specialfn import PsiArgs, norm_cdf, psi_integral, psi_integral_batch, reg_upper_gamma
@@ -63,7 +60,6 @@ from .options import (
     OptionSpec,
     bond_price_at,
     price_call,
-    price_call_analytic,
     price_call_mc,
     solve_critical_level,
 )
@@ -89,8 +85,6 @@ __all__ = [
     "JumpDiffusionFamily",
     "GammaFamily",
     "VarianceGammaFamily",
-    "excess_rate_of_return",
-    "family_from_config",
     "sample_path",
     "spawn_stream",
     "PhiFunction",
@@ -99,7 +93,6 @@ __all__ = [
     "ModelState",
     "martingale_value",
     "log_martingale_value",
-    "phi_from_config",
     "adaptive_integrate",
     "norm_cdf",
     "reg_upper_gamma",
@@ -123,7 +116,6 @@ __all__ = [
     "bond_price_at",
     "solve_critical_level",
     "price_call",
-    "price_call_analytic",
     "price_call_mc",
     "CheckResult",
     "ValidationReport",

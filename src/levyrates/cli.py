@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,13 +32,28 @@ from .curve import (
     short_rate,
 )
 from .errors import ConfigError, DomainError, NumericalError, UnsupportedModelError
-from .levy import family_from_config, sample_path, spawn_stream
-from .martingales import ModelState, phi_from_config
+from .levy import (
+    BrownianFamily,
+    GammaFamily,
+    JumpDiffusionFamily,
+    LevyFamily,
+    VarianceGammaFamily,
+    sample_path,
+    spawn_stream,
+)
+from .martingales import ExpDecayPhi, ModelState
 from .options import OptionSpec, price_call, price_call_mc
 from .termstructure import FlatYieldCurve, TermStructure, validate_term_structure
-from .validation import run_validation
+from .validation import curve_checks, run_validation
 
-__all__ = ["main", "model_from_config", "load_config", "config_hash"]
+__all__ = [
+    "main",
+    "model_from_config",
+    "family_from_config",
+    "phi_from_config",
+    "load_config",
+    "config_hash",
+]
 
 
 # -- config ------------------------------------------------------------------
@@ -50,44 +65,97 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return cfg
 
 
-def curve_from_config(cfg: dict) -> TermStructure:
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _floats(value) -> List[float]:
+    return [float(v) for v in _list(value)]
+
+
+def _block(cfg, where: str, fields: Dict[str, Callable], required: Sequence[str] = ()) -> dict:
+    """Read one config object: its keys converted by `fields`, absent ones left out.
+
+    A value that is not an object, an unknown or missing key, and a value
+    its converter rejects are each a ConfigError naming the block.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {cfg!r}")
+    extras = set(cfg) - set(fields)
+    if extras:
+        raise ConfigError(f"unexpected {where} parameters: {sorted(extras)}")
+    missing = [k for k in required if k not in cfg]
+    if missing:
+        raise ConfigError(f"{where} is missing {missing}")
+    out = {}
+    for key, value in cfg.items():
+        try:
+            out[key] = fields[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
+            raise ConfigError(f"bad {where} value {key}={value!r}: {exc}") from exc
+    return out
+
+
+def _build(cls, where: str, **kwargs):
+    """cls(**kwargs), with a value the constructor rejects as a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"bad {where} parameter: {exc}") from exc
+
+
+def curve_from_config(cfg) -> TermStructure:
     if not isinstance(cfg, dict) or "form" not in cfg:
         raise ConfigError("curve config needs a 'form' tag, e.g. {\"form\": \"flat\", \"yield\": 0.02}")
-    form = str(cfg["form"]).lower()
-    if form == "flat":
-        extras = set(cfg) - {"form", "yield"}
-        if extras:
-            raise ConfigError(f"unexpected curve parameters: {sorted(extras)}")
-        try:
-            return FlatYieldCurve(y=float(cfg["yield"]))
-        except KeyError as exc:
-            raise ConfigError(f"flat curve is missing parameter {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad flat-curve parameter: {exc}") from exc
-    raise ConfigError(f"unknown curve form {cfg['form']!r}; supported: flat")
+    if str(cfg["form"]).lower() != "flat":
+        raise ConfigError(f"unknown curve form {cfg['form']!r}; supported: flat")
+    p = _block(cfg, "curve", {"form": str, "yield": float}, required=("yield",))
+    return _build(FlatYieldCurve, "flat-curve", y=p["yield"])
 
 
-def quadrature_from_config(cfg: Optional[dict]) -> QuadratureSettings:
+def quadrature_from_config(cfg) -> QuadratureSettings:
     if cfg is None:
         return QuadratureSettings()
-    extras = set(cfg) - {"rel_tol", "tail_epsilon", "max_subdivisions"}
-    if extras:
-        raise ConfigError(f"unexpected quadrature parameters: {sorted(extras)}")
-    try:
-        return QuadratureSettings(
-            rel_tol=float(cfg.get("rel_tol", 1e-10)),
-            tail_epsilon=float(cfg.get("tail_epsilon", 1e-12)),
-            max_subdivisions=int(cfg.get("max_subdivisions", 2000)),
-        )
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"bad quadrature settings: {exc}") from exc
+    fields = {"rel_tol": float, "tail_epsilon": float, "max_subdivisions": int}
+    return _build(QuadratureSettings, "quadrature", **_block(cfg, "quadrature", fields))
+
+
+# family tag -> (class, config key -> constructor argument)
+_FAMILIES = {
+    "gbm": (BrownianFamily, {}),
+    "jd": (JumpDiffusionFamily, {"lambda": "lam", "mu": "mu", "delta": "delta"}),
+    "gamma": (GammaFamily, {"m": "m", "kappa": "kappa"}),
+    "vg": (VarianceGammaFamily, {"mu": "mu", "sigma": "sigma", "m": "m"}),
+}
+_FAMILY_ALIASES = {"brownian": "gbm", "jump_diffusion": "jd", "jumpdiffusion": "jd", "variance_gamma": "vg"}
+
+
+def family_from_config(cfg: dict) -> LevyFamily:
+    """Build a family from a config mapping like {"family": "vg", "mu": .5, ...}."""
+    if not isinstance(cfg, dict) or "family" not in cfg:
+        raise ConfigError("family config needs a 'family' tag")
+    tag = str(cfg["family"]).lower()
+    tag = _FAMILY_ALIASES.get(tag, tag)
+    if tag not in _FAMILIES:
+        raise ConfigError(f"unknown family tag {cfg['family']!r}")
+    cls, args = _FAMILIES[tag]
+    where = f"family '{tag}'"
+    p = _block(cfg, where, {"family": str, **dict.fromkeys(args, float)}, required=tuple(args))
+    return _build(cls, where, **{args[k]: v for k, v in p.items() if k != "family"})
+
+
+def phi_from_config(cfg: dict) -> ExpDecayPhi:
+    """Build the exponential-decay phi from {"c": ..., "b": ...}."""
+    return _build(ExpDecayPhi, "phi", **_block(cfg, "phi", {"c": float, "b": float}, required=("c", "b")))
 
 
 def model_from_config(cfg: dict) -> RateModel:
@@ -145,17 +213,9 @@ _UNITS = "units: time in years, rates per annum, prices as a fraction of unit no
 
 def cmd_simulate(cfg: dict, seed: int, out: Optional[str], args) -> int:
     model = model_from_config(cfg)
-    blk = cfg.get("simulate")
-    if not isinstance(blk, dict):
-        raise ConfigError("config needs a 'simulate' block with maturity and steps")
-    extras = set(blk) - {"maturity", "steps"}
-    if extras:
-        raise ConfigError(f"unexpected simulate parameters: {sorted(extras)}")
-    try:
-        maturity = float(blk["maturity"])
-        steps = int(blk["steps"])
-    except KeyError as exc:
-        raise ConfigError(f"simulate block is missing {exc}") from exc
+    fields = {"maturity": float, "steps": int}
+    p = _block(cfg.get("simulate"), "simulate", fields, required=tuple(fields))
+    maturity, steps = p["maturity"], p["steps"]
     if maturity <= 0.0 or steps < 1:
         raise ConfigError("simulate needs maturity > 0 and steps >= 1")
     if maturity >= model.s_max:
@@ -209,19 +269,18 @@ def _option_entry(
 
 def cmd_price(cfg: dict, seed: int, out: Optional[str], args) -> int:
     model = model_from_config(cfg)
-    blk = cfg.get("price")
-    if not isinstance(blk, dict):
-        raise ConfigError("config needs a 'price' block")
-    known = {"t", "xi", "maturities", "forward_maturities", "premium_maturities", "options"}
-    extras = set(blk) - known
-    if extras:
-        raise ConfigError(f"unexpected price parameters: {sorted(extras)}")
-    t = float(blk.get("t", 0.0))
-    xi = float(blk.get("xi", 0.0))
+    fields = dict.fromkeys(("maturities", "forward_maturities", "premium_maturities"), _floats)
+    p = _block(cfg.get("price"), "price", {"t": float, "xi": float, "options": _list, **fields})
+    t, xi = p.get("t", 0.0), p.get("xi", 0.0)
     state = ModelState(t=t, xi=xi)
-    maturities = [float(v) for v in blk.get("maturities", [])]
-    fwd_mats = [float(v) for v in blk.get("forward_maturities", maturities)]
-    prem_mats = [float(v) for v in blk.get("premium_maturities", [])]
+    maturities = p.get("maturities", [])
+    fwd_mats = p.get("forward_maturities", maturities)
+    prem_mats = p.get("premium_maturities", [])
+    spec_fields = dict.fromkeys(("expiry", "maturity", "strike"), float)
+    specs = [
+        _build(OptionSpec, "option entry", **_block(o, "option entry", spec_fields, tuple(spec_fields)))
+        for o in p.get("options", [])
+    ]
 
     doc: Dict[str, object] = {
         "config_hash": config_hash(cfg, seed),
@@ -239,34 +298,18 @@ def cmd_price(cfg: dict, seed: int, out: Optional[str], args) -> int:
             {"maturity": T, "premium": risk_premium(model, state, T)} for T in prem_mats
         ],
     }
-    entries = []
-    for i, o in enumerate(blk.get("options", [])):
-        try:
-            spec = OptionSpec(
-                expiry=float(o["expiry"]), maturity=float(o["maturity"]), strike=float(o["strike"])
-            )
-        except (KeyError, TypeError, ValueError, DomainError) as exc:
-            raise ConfigError(f"bad option entry {o!r}: {exc}") from exc
-        entries.append(_option_entry(model, spec, args.mc, args.paths, i, seed))
-    doc["options"] = entries
+    doc["options"] = [
+        _option_entry(model, spec, args.mc, args.paths, i, seed) for i, spec in enumerate(specs)
+    ]
     _write_lines(out, [json.dumps(doc, indent=2, sort_keys=True)])
     return 0
 
 
 def cmd_surface(cfg: dict, seed: int, out: Optional[str], args) -> int:
     model = model_from_config(cfg)
-    blk = cfg.get("surface")
-    if not isinstance(blk, dict):
-        raise ConfigError("config needs a 'surface' block")
-    extras = set(blk) - {"bond_maturity", "expiries", "strikes"}
-    if extras:
-        raise ConfigError(f"unexpected surface parameters: {sorted(extras)}")
-    try:
-        T = float(blk["bond_maturity"])
-        expiries = [float(v) for v in blk["expiries"]]
-        strikes = [float(v) for v in blk["strikes"]]
-    except KeyError as exc:
-        raise ConfigError(f"surface block is missing {exc}") from exc
+    fields = {"bond_maturity": float, "expiries": _floats, "strikes": _floats}
+    p = _block(cfg.get("surface"), "surface", fields, required=tuple(fields))
+    T, expiries, strikes = p["bond_maturity"], p["expiries"], p["strikes"]
     if not expiries or not strikes:
         raise ConfigError("surface needs nonempty expiries and strikes")
 
@@ -308,9 +351,7 @@ def cmd_validate(cfg: dict, seed: int, out: Optional[str], args) -> int:
             "# levyrates validate: model invariant suite",
             f"# config_hash={config_hash(cfg, seed)} seed={seed}",
         ]
-        for c in curve_report.checks:
-            tag = "PASS" if c.passed else "FAIL"
-            lines.append(f"{tag}  curve_{c.name}: measured={c.worst:.6g}  ({c.detail})")
+        lines += [c.line() for c in curve_checks(curve_report)]
         lines.append("FAILED: the initial curve violates its contract; model checks skipped")
         _write_lines(out, lines)
         return 3
@@ -359,17 +400,17 @@ _BENCH_RUNS = 3
 
 def bench_grid(cfg: Optional[dict]):
     """(expiries, strike factors, tenor) for the benchmark, 100 points."""
-    blk = (cfg or {}).get("bench") or {}
-    extras = set(blk) - {"expiries", "strike_factors", "tenor"}
-    if extras:
-        raise ConfigError(f"unexpected bench parameters: {sorted(extras)}")
+    blk = (cfg or {}).get("bench")
+    fields = {"expiries": _floats, "strike_factors": _floats, "tenor": float}
+    p = _block({} if blk is None else blk, "bench", fields)
     # the gamma driver's one-sided support caps bond prices from below at
     # P(t,T,0) ~ 0.996 x forward on this grid, so the default strike band
     # hugs the forward to keep every strike attainable for every family
-    expiries = [float(v) for v in blk.get("expiries", np.linspace(0.5, 3.0, 10))]
-    factors = [float(v) for v in blk.get("strike_factors", np.linspace(0.998, 1.030, 10))]
-    tenor = float(blk.get("tenor", 2.0))
-    return expiries, factors, tenor
+    expiries = p.get("expiries", np.linspace(0.5, 3.0, 10).tolist())
+    factors = p.get("strike_factors", np.linspace(0.998, 1.030, 10).tolist())
+    if not expiries or not factors:
+        raise ConfigError("bench needs nonempty expiries and strike_factors")
+    return expiries, factors, p.get("tenor", 2.0)
 
 
 def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:

@@ -49,6 +49,11 @@ __all__ = [
     "risk_premium",
 ]
 
+# xi values per pass of the batch kernel: a pass holds a few temporaries
+# of _CHUNK x nodes floats (32 MB each at 200 nodes), so this caps the
+# peak memory of a Monte Carlo price whatever its path count
+_CHUNK = 20000
+
 
 @dataclass(frozen=True)
 class QuadratureSettings:
@@ -234,7 +239,7 @@ class KernelEvaluator:
             self._set_edges(edges)
 
     def _integrals(
-        self, xi: np.ndarray, lowers: Sequence[float], phi_average: bool, chunk: int = 20000
+        self, xi: np.ndarray, lowers: Sequence[float], phi_average: bool
     ) -> Dict[float, np.ndarray]:
         """log int_L^S rho M, or the phi average over [L, S], per xi and L.
 
@@ -247,8 +252,8 @@ class KernelEvaluator:
         w_full, base, phiv = self._w, self._base16, self._phi16
         wphi = w_full * phiv if phi_average else None
         out = {L: np.empty(xi.shape, dtype=float) for L in offsets}
-        for i0 in range(0, xi.size, chunk):
-            x = xi[i0 : i0 + chunk, None]
+        for i0 in range(0, xi.size, _CHUNK):
+            x = xi[i0 : i0 + _CHUNK, None]
             E = x * phiv[None, :] + base[None, :]
             shift = E.max(axis=1)
             M = np.exp(E - shift[:, None])
@@ -256,10 +261,10 @@ class KernelEvaluator:
                 vals = M[:, off:] @ w_full[off:]
                 if phi_average:
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        out[L][i0 : i0 + chunk] = (M[:, off:] @ wphi[off:]) / vals
+                        out[L][i0 : i0 + _CHUNK] = (M[:, off:] @ wphi[off:]) / vals
                 else:
                     with np.errstate(divide="ignore"):
-                        out[L][i0 : i0 + chunk] = np.log(vals) + shift
+                        out[L][i0 : i0 + _CHUNK] = np.log(vals) + shift
         return out
 
     def log_integral(self, xi: float, lower: Optional[float] = None) -> float:
@@ -288,22 +293,18 @@ class KernelEvaluator:
             for p in np.atleast_1d(np.asarray(xi_probes, dtype=float)):
                 self.refine(float(p), float(L))
 
-    def log_integral_batch(
-        self, xi: np.ndarray, lowers: Sequence[float], chunk: int = 20000
-    ) -> Dict[float, np.ndarray]:
+    def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """log kernel integrals for an array of xi at several lower bounds.
 
         Panels are used as-is: call prepare() with representative probe
         xi values first; the 16-point rule on panels refined to rel_tol
         leaves bias far below Monte Carlo resolution.
         """
-        return self._integrals(np.asarray(xi, dtype=float), lowers, False, chunk)
+        return self._integrals(np.asarray(xi, dtype=float), lowers, False)
 
-    def phi_average_batch(
-        self, xi: np.ndarray, lowers: Sequence[float], chunk: int = 20000
-    ) -> Dict[float, np.ndarray]:
+    def phi_average_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """Phi_tT for an array of xi at several lower bounds T."""
-        return self._integrals(np.asarray(xi, dtype=float), lowers, True, chunk)
+        return self._integrals(np.asarray(xi, dtype=float), lowers, True)
 
 
 # -- public operations ------------------------------------------------------

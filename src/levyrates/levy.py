@@ -18,7 +18,7 @@ from typing import ClassVar, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "LevyFamily",
@@ -26,9 +26,7 @@ __all__ = [
     "JumpDiffusionFamily",
     "GammaFamily",
     "VarianceGammaFamily",
-    "excess_rate_of_return",
     "sample_path",
-    "family_from_config",
     "spawn_stream",
     "DOMAIN_GUARD",
 ]
@@ -43,6 +41,8 @@ class LevyFamily:
     """Base class: exponent, admissible domain, exact increment sampling."""
 
     tag: str = "?"
+    # lower edge of the driver's state space; subordinators start at 0
+    support_lower: float = -math.inf
 
     def exponent_domain(self) -> Tuple[float, float]:
         """Open interval (lo, hi) of admissible exponent arguments."""
@@ -51,18 +51,20 @@ class LevyFamily:
     def _exponent_impl(self, alpha):
         raise NotImplementedError
 
-    def contains(self, alpha: float) -> bool:
-        """True if alpha is admissible, i.e. inside the guarded open domain."""
+    def _guarded_domain(self) -> Tuple[float, float, float]:
+        """(lo, hi, guard): the open domain and its guard band."""
         lo, hi = self.exponent_domain()
         width = min(1.0, hi - lo if math.isfinite(hi - lo) else 1.0)
-        guard = DOMAIN_GUARD * width
+        return lo, hi, DOMAIN_GUARD * width
+
+    def contains(self, alpha: float) -> bool:
+        """True if alpha is admissible, i.e. inside the guarded open domain."""
+        lo, hi, guard = self._guarded_domain()
         return (alpha > lo + guard) and (alpha < hi - guard)
 
     def require_admissible(self, alpha) -> None:
         arr = np.asarray(alpha, dtype=float)
-        lo, hi = self.exponent_domain()
-        width = min(1.0, hi - lo if math.isfinite(hi - lo) else 1.0)
-        guard = DOMAIN_GUARD * width
+        lo, hi, guard = self._guarded_domain()
         if np.any(arr <= lo + guard) or np.any(arr >= hi - guard):
             bad = float(arr.flat[int(np.argmax((arr <= lo + guard) | (arr >= hi - guard)))])
             raise DomainError(
@@ -156,6 +158,7 @@ class GammaFamily(LevyFamily):
     m: float
     kappa: float
     tag: ClassVar[str] = "gamma"
+    support_lower: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if not (self.m > 0.0):
@@ -234,20 +237,6 @@ def _check_horizon(t) -> None:
         raise DomainError(f"sampling horizon must be positive, got {t}")
 
 
-def excess_rate_of_return(fam: LevyFamily, risk_aversion: float, volatility: float) -> float:
-    """R = psi(sigma) + psi(-lam) - psi(sigma - lam).
-
-    The excess rate of return earned for bearing risk (sigma = volatility
-    argument, lam = risk aversion). Positive for positive lam and sigma by
-    strict convexity of psi. All three arguments sigma, -lam, sigma - lam
-    must be admissible.
-    """
-    lam, sig = float(risk_aversion), float(volatility)
-    for arg in (sig, -lam, sig - lam):
-        fam.require_admissible(arg)
-    return float(fam._exponent_impl(sig) + fam._exponent_impl(-lam) - fam._exponent_impl(sig - lam))
-
-
 def sample_path(fam: LevyFamily, grid, rng: np.random.Generator) -> np.ndarray:
     """Exact-in-law path values of X on a strictly increasing positive grid.
 
@@ -262,50 +251,6 @@ def sample_path(fam: LevyFamily, grid, rng: np.random.Generator) -> np.ndarray:
     gaps = np.diff(np.concatenate([[0.0], g]))
     draws = np.array([fam.sample_increment(dt, rng) for dt in gaps])
     return np.cumsum(draws)
-
-
-_FAMILY_ALIASES = {
-    "gbm": "gbm",
-    "brownian": "gbm",
-    "jd": "jd",
-    "jump_diffusion": "jd",
-    "jumpdiffusion": "jd",
-    "gamma": "gamma",
-    "vg": "vg",
-    "variance_gamma": "vg",
-}
-
-
-def family_from_config(cfg: dict) -> LevyFamily:
-    """Build a family from a config mapping like {"family": "vg", "mu": .5, ...}."""
-    if "family" not in cfg:
-        raise ConfigError("family config needs a 'family' tag")
-    tag = _FAMILY_ALIASES.get(str(cfg["family"]).lower())
-    known = {k for k in cfg if k != "family"}
-    try:
-        if tag == "gbm":
-            _reject_extras(known, set())
-            return BrownianFamily()
-        if tag == "jd":
-            _reject_extras(known, {"lambda", "mu", "delta"})
-            return JumpDiffusionFamily(lam=float(cfg["lambda"]), mu=float(cfg["mu"]), delta=float(cfg["delta"]))
-        if tag == "gamma":
-            _reject_extras(known, {"m", "kappa"})
-            return GammaFamily(m=float(cfg["m"]), kappa=float(cfg["kappa"]))
-        if tag == "vg":
-            _reject_extras(known, {"mu", "sigma", "m"})
-            return VarianceGammaFamily(mu=float(cfg["mu"]), sigma=float(cfg["sigma"]), m=float(cfg["m"]))
-    except KeyError as exc:
-        raise ConfigError(f"family '{cfg['family']}' is missing parameter {exc}") from exc
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"bad parameter for family '{cfg['family']}': {exc}") from exc
-    raise ConfigError(f"unknown family tag {cfg['family']!r}")
-
-
-def _reject_extras(given: set, allowed: set) -> None:
-    extras = given - allowed
-    if extras:
-        raise ConfigError(f"unexpected family parameters: {sorted(extras)}")
 
 
 def spawn_stream(seed: int, index: int = 0) -> np.random.Generator:

@@ -21,8 +21,8 @@ from typing import ClassVar, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .levy import GammaFamily, LevyFamily
+from .errors import DomainError
+from .levy import LevyFamily
 
 __all__ = [
     "PhiFunction",
@@ -31,7 +31,6 @@ __all__ = [
     "ModelState",
     "martingale_value",
     "log_martingale_value",
-    "phi_from_config",
 ]
 
 
@@ -148,10 +147,10 @@ class ModelState:
 
 
 def _check_state_support(fam: LevyFamily, state: ModelState) -> None:
-    # the gamma subordinator lives on [0, inf); a negative state is not a
-    # possible realization and silently pricing from it would be a bug
-    if isinstance(fam, GammaFamily) and state.xi < 0.0:
-        raise DomainError(f"gamma driver state must be nonnegative, got xi={state.xi}")
+    # a subordinator (gamma) lives on [0, inf); a state below the support is
+    # not a possible realization and silently pricing from it would be a bug
+    if state.xi < fam.support_lower:
+        raise DomainError(f"{fam.tag} driver state must be nonnegative, got xi={state.xi}")
 
 
 def log_martingale_value(fam: LevyFamily, phi: PhiFunction, state: ModelState, s) -> float:
@@ -171,15 +170,3 @@ def martingale_value(fam: LevyFamily, phi: PhiFunction, state: ModelState, s) ->
     out = np.exp(log_martingale_value(fam, phi, state, s))
     return float(out) if np.ndim(s) == 0 else out
 
-
-def phi_from_config(cfg: dict) -> ExpDecayPhi:
-    """Build the exponential-decay phi from {"c": ..., "b": ...}."""
-    extras = set(cfg) - {"c", "b"}
-    if extras:
-        raise ConfigError(f"unexpected phi parameters: {sorted(extras)}")
-    try:
-        return ExpDecayPhi(c=float(cfg["c"]), b=float(cfg["b"]))
-    except KeyError as exc:
-        raise ConfigError(f"phi config is missing parameter {exc}") from exc
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"bad phi parameter: {exc}") from exc

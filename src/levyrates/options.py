@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
-from .curve import KernelEvaluator, RateModel
+from .curve import RateModel, bond_price
 from .errors import (
     DomainError,
     NumericalError,
@@ -53,7 +53,6 @@ __all__ = [
     "bond_price_at",
     "solve_critical_level",
     "price_call",
-    "price_call_analytic",
     "price_call_mc",
 ]
 
@@ -107,8 +106,6 @@ class CallPrice:
 
 def bond_price_at(model: RateModel, t: float, T: float, xi: float) -> float:
     """P(t, T, xi): bond price as an explicit function of the driver value."""
-    from .curve import bond_price
-
     return bond_price(model, ModelState(t=t, xi=xi), T)
 
 
@@ -134,11 +131,6 @@ def _orientation(model: RateModel) -> str:
     )
 
 
-def _support_lower(model: RateModel) -> float:
-    # the gamma subordinator's driver lives on [0, inf)
-    return 0.0 if isinstance(model.fam, GammaFamily) else -math.inf
-
-
 def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
     """Find xi* with |P(t,T,xi*) - K| <= 1e-12 by bracket expansion + brentq.
 
@@ -160,7 +152,7 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
         ev.refine(xi, t)
         ev.refine(xi, T)
 
-    lo_support = _support_lower(model)
+    lo_support = model.fam.support_lower
     sign = 1.0 if orient == "upper" else -1.0  # dP/dxi sign
 
     a = max(lo_support, -1.0)
@@ -340,17 +332,11 @@ def price_call(
     return CallPrice(price=float(price), status="ok", critical=crit)
 
 
-def price_call_analytic(model: RateModel, spec: OptionSpec, **kwargs) -> float:
-    """Closed-form call price as a bare float (see price_call for statuses)."""
-    return price_call(model, spec, **kwargs).price
-
-
 def price_call_mc(
     model: RateModel,
     spec: OptionSpec,
     paths: int,
     rng: np.random.Generator,
-    chunk: int = 20000,
 ) -> Tuple[float, float]:
     """Unbiased Monte Carlo price and its standard error.
 
@@ -368,7 +354,7 @@ def price_call_mc(
     ev = model.evaluator(t)
     probes = [float(xi.min()), float(np.median(xi)), float(xi.max())]
     ev.prepare(probes, [t, T] if T > t else [t])
-    logs = ev.log_integral_batch(xi, [t, T] if T > t else [t], chunk=chunk)
+    logs = ev.log_integral_batch(xi, [t, T] if T > t else [t])
     k_T = np.exp(logs[float(T)]) if T > t else np.exp(logs[float(t)])
     k_t = np.exp(logs[float(t)])
     payoff = np.maximum(k_T - K * k_t, 0.0)

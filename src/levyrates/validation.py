@@ -23,7 +23,6 @@ from .curve import (
     short_rate,
 )
 from .errors import (
-    DomainError,
     NumericalError,
     StrikeOutOfRangeError,
     UnsupportedModelError,
@@ -31,9 +30,9 @@ from .errors import (
 from .levy import GammaFamily, spawn_stream
 from .martingales import ModelState
 from .options import OptionSpec, price_call, price_call_mc, solve_critical_level
-from .termstructure import validate_term_structure
+from .termstructure import CurveReport, validate_term_structure
 
-__all__ = ["CheckResult", "ValidationReport", "run_validation"]
+__all__ = ["CheckResult", "ValidationReport", "curve_checks", "run_validation"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,14 @@ class ValidationReport:
         return out
 
 
+def curve_checks(report: CurveReport) -> List[CheckResult]:
+    """The initial curve's contract checks, named curve_*, with bound 0."""
+    return [
+        CheckResult(name=f"curve_{c.name}", passed=c.passed, measured=c.worst, bound=0.0, detail=c.detail)
+        for c in report.checks
+    ]
+
+
 def _sample_states(model: RateModel, t: float, n: int, rng) -> np.ndarray:
     return np.asarray(model.fam.sample_increment(t, rng, n), dtype=float)
 
@@ -81,20 +88,12 @@ def run_validation(
     monotonicities, forward/short-rate consistency, risk-premium sign,
     critical-level residual, and analytic-versus-MC option pricing.
     """
-    checks: List[CheckResult] = []
+    # the curve must honor its own contract before anything downstream
+    checks = curve_checks(validate_term_structure(model.ts, model.quad.tail_epsilon))
     S = model.s_max
     t = min(1.0, 0.25 * S)
     T = min(t + 2.0, 0.5 * S)
     rng = spawn_stream(seed, 0)
-
-    # the curve must honor its own contract before anything downstream
-    curve_report = validate_term_structure(model.ts, model.quad.tail_epsilon)
-    for c in curve_report.checks:
-        checks.append(
-            CheckResult(
-                name=f"curve_{c.name}", passed=c.passed, measured=c.worst, bound=0.0, detail=c.detail
-            )
-        )
 
     # E[kernel(t, t)] = P0(t) within Monte Carlo resolution
     xi = _sample_states(model, t, paths, rng)

@@ -239,3 +239,86 @@ def test_simulate_rejects_horizon_overrun(tmp_path):
     doc = _model_block()
     doc["simulate"] = {"maturity": 10_000.0, "steps": 10}
     assert main(["simulate", "--config", _write(tmp_path, "c.json", doc)]) == 1
+
+
+# -- config boundary -----------------------------------------------------------------
+
+
+def _boundary_config():
+    """A small valid config with every block each subcommand reads."""
+    doc = _model_block()
+    doc["quadrature"] = {"rel_tol": 1e-10, "tail_epsilon": 1e-12, "max_subdivisions": 2000}
+    doc["price"] = {
+        "t": 1.0,
+        "xi": 0.1,
+        "maturities": [2.0],
+        "forward_maturities": [2.0],
+        "premium_maturities": [2.0],
+        "options": [{"expiry": 1.0, "maturity": 3.0, "strike": 0.95}],
+    }
+    doc["simulate"] = {"maturity": 1.0, "steps": 4}
+    doc["surface"] = {"bond_maturity": 3.0, "expiries": [1.0], "strikes": [0.95]}
+    doc["bench"] = {"expiries": [1.0], "strike_factors": [1.0], "tenor": 2.0}
+    return doc
+
+
+# the subcommand that reads each block; the model blocks go through `price`
+_BLOCK_COMMAND = {
+    "curve": "price",
+    "family": "price",
+    "phi": "price",
+    "quadrature": "price",
+    "price": "price",
+    "simulate": "simulate",
+    "surface": "surface",
+    "bench": "bench",
+}
+# non-numeric values only: none of them can start a run of arbitrary size
+_MALFORMED = (None, "abc", {"k": "v"})
+
+
+def _boundary_cases():
+    base = _boundary_config()
+    cases = []
+    for block, command in _BLOCK_COMMAND.items():
+        paths = [(block,)] + [(block, key) for key in base[block]]
+        if block == "price":
+            option = ("price", "options", 0)
+            paths += [option] + [option + (key,) for key in base["price"]["options"][0]]
+        for path in paths:
+            for value in _MALFORMED:
+                if value is None and path in (("quadrature",), ("bench",)):
+                    continue  # a null block means "use the defaults"
+                cases.append(pytest.param(command, path, value, id=f"{'.'.join(map(str, path))}={value!r}"))
+    # numbers a converter accepts but the run cannot use
+    cases += [
+        pytest.param("simulate", ("simulate", "steps"), float("inf"), id="simulate.steps=inf"),
+        pytest.param("bench", ("bench", "expiries"), [], id="bench.expiries=[]"),
+        pytest.param("bench", ("bench", "strike_factors"), [], id="bench.strike_factors=[]"),
+    ]
+    return cases
+
+
+def test_boundary_config_is_valid(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", _boundary_config())
+    for command in ("price", "simulate", "surface", "bench"):
+        assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, path, value", _boundary_cases())
+def test_exit_1_malformed_value(tmp_path, capsys, command, path, value):
+    doc = _boundary_config()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert main([command, "--config", _write(tmp_path, "c.json", doc)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_exit_1_config_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"curve": "é"}'.encode("latin-1"))
+    assert main(["price", "--config", str(p)]) == 1
+    assert "config error" in capsys.readouterr().err
+

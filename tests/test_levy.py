@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from levyrates import (
     BrownianFamily,
@@ -15,11 +13,10 @@ from levyrates import (
     GammaFamily,
     JumpDiffusionFamily,
     VarianceGammaFamily,
-    excess_rate_of_return,
-    family_from_config,
     sample_path,
     spawn_stream,
 )
+from levyrates.cli import family_from_config
 from levyrates.errors import ConfigError
 
 GBM = BrownianFamily()
@@ -225,31 +222,3 @@ def test_spawn_stream_reproducible_and_disjoint():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
 
-
-# -- excess rate of return ----------------------------------------------------
-
-
-def test_excess_rate_of_return_zero_cases():
-    for fam in ALL:
-        assert excess_rate_of_return(fam, 0.0, 0.7) == 0.0
-        assert excess_rate_of_return(fam, 0.7, 0.0) == 0.0
-
-
-@given(
-    lam=st.floats(min_value=1e-3, max_value=1.5),
-    sig=st.floats(min_value=1e-3, max_value=1.5),
-    idx=st.integers(min_value=0, max_value=3),
-)
-@settings(max_examples=120, deadline=None)
-def test_excess_rate_of_return_positive(lam, sig, idx):
-    # strict convexity of psi makes R > 0 whenever both arguments are
-    # positive and everything stays admissible
-    fam = ALL[idx]
-    if not (fam.contains(sig) and fam.contains(-lam) and fam.contains(sig - lam)):
-        return
-    assert excess_rate_of_return(fam, lam, sig) > 0.0
-
-
-def test_excess_rate_of_return_domain_enforced():
-    with pytest.raises(DomainError):
-        excess_rate_of_return(GAMMA, -0.5, 1.9)  # sig - lam = 2.4 beyond the pole

@@ -20,9 +20,9 @@ from levyrates import (
     VarianceGammaFamily,
     log_martingale_value,
     martingale_value,
-    phi_from_config,
     spawn_stream,
 )
+from levyrates.cli import phi_from_config
 from levyrates.errors import ConfigError
 
 PHI = ExpDecayPhi(c=0.3, b=0.02)
