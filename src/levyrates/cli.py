@@ -78,8 +78,21 @@ def _list(value) -> list:
     return value
 
 
+def _float(value) -> float:
+    if isinstance(value, bool):  # float(true) would read as 1.0
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    """A count: a fraction is an error, not truncated, and so is a boolean."""
+    if not _float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(value) -> List[float]:
-    return [float(v) for v in _list(value)]
+    return [_float(v) for v in _list(value)]
 
 
 def _block(cfg, where: str, fields: Dict[str, Callable], required: Sequence[str] = ()) -> dict:
@@ -100,7 +113,7 @@ def _block(cfg, where: str, fields: Dict[str, Callable], required: Sequence[str]
     for key, value in cfg.items():
         try:
             out[key] = fields[key](value)
-        except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
+        except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
             raise ConfigError(f"bad {where} value {key}={value!r}: {exc}") from exc
     return out
 
@@ -118,14 +131,14 @@ def curve_from_config(cfg) -> TermStructure:
         raise ConfigError("curve config needs a 'form' tag, e.g. {\"form\": \"flat\", \"yield\": 0.02}")
     if str(cfg["form"]).lower() != "flat":
         raise ConfigError(f"unknown curve form {cfg['form']!r}; supported: flat")
-    p = _block(cfg, "curve", {"form": str, "yield": float}, required=("yield",))
+    p = _block(cfg, "curve", {"form": str, "yield": _float}, required=("yield",))
     return _build(FlatYieldCurve, "flat-curve", y=p["yield"])
 
 
 def quadrature_from_config(cfg) -> QuadratureSettings:
     if cfg is None:
         return QuadratureSettings()
-    fields = {"rel_tol": float, "tail_epsilon": float, "max_subdivisions": int}
+    fields = {"rel_tol": _float, "tail_epsilon": _float, "max_subdivisions": _int}
     return _build(QuadratureSettings, "quadrature", **_block(cfg, "quadrature", fields))
 
 
@@ -149,13 +162,13 @@ def family_from_config(cfg: dict) -> LevyFamily:
         raise ConfigError(f"unknown family tag {cfg['family']!r}")
     cls, args = _FAMILIES[tag]
     where = f"family '{tag}'"
-    p = _block(cfg, where, {"family": str, **dict.fromkeys(args, float)}, required=tuple(args))
+    p = _block(cfg, where, {"family": str, **dict.fromkeys(args, _float)}, required=tuple(args))
     return _build(cls, where, **{args[k]: v for k, v in p.items() if k != "family"})
 
 
 def phi_from_config(cfg: dict) -> ExpDecayPhi:
     """Build the exponential-decay phi from {"c": ..., "b": ...}."""
-    return _build(ExpDecayPhi, "phi", **_block(cfg, "phi", {"c": float, "b": float}, required=("c", "b")))
+    return _build(ExpDecayPhi, "phi", **_block(cfg, "phi", {"c": _float, "b": _float}, required=("c", "b")))
 
 
 def model_from_config(cfg: dict) -> RateModel:
@@ -213,7 +226,7 @@ _UNITS = "units: time in years, rates per annum, prices as a fraction of unit no
 
 def cmd_simulate(cfg: dict, seed: int, out: Optional[str], args) -> int:
     model = model_from_config(cfg)
-    fields = {"maturity": float, "steps": int}
+    fields = {"maturity": _float, "steps": _int}
     p = _block(cfg.get("simulate"), "simulate", fields, required=tuple(fields))
     maturity, steps = p["maturity"], p["steps"]
     if maturity <= 0.0 or steps < 1:
@@ -270,13 +283,13 @@ def _option_entry(
 def cmd_price(cfg: dict, seed: int, out: Optional[str], args) -> int:
     model = model_from_config(cfg)
     fields = dict.fromkeys(("maturities", "forward_maturities", "premium_maturities"), _floats)
-    p = _block(cfg.get("price"), "price", {"t": float, "xi": float, "options": _list, **fields})
+    p = _block(cfg.get("price"), "price", {"t": _float, "xi": _float, "options": _list, **fields})
     t, xi = p.get("t", 0.0), p.get("xi", 0.0)
     state = ModelState(t=t, xi=xi)
     maturities = p.get("maturities", [])
     fwd_mats = p.get("forward_maturities", maturities)
     prem_mats = p.get("premium_maturities", [])
-    spec_fields = dict.fromkeys(("expiry", "maturity", "strike"), float)
+    spec_fields = dict.fromkeys(("expiry", "maturity", "strike"), _float)
     specs = [
         _build(OptionSpec, "option entry", **_block(o, "option entry", spec_fields, tuple(spec_fields)))
         for o in p.get("options", [])
@@ -307,7 +320,7 @@ def cmd_price(cfg: dict, seed: int, out: Optional[str], args) -> int:
 
 def cmd_surface(cfg: dict, seed: int, out: Optional[str], args) -> int:
     model = model_from_config(cfg)
-    fields = {"bond_maturity": float, "expiries": _floats, "strikes": _floats}
+    fields = {"bond_maturity": _float, "expiries": _floats, "strikes": _floats}
     p = _block(cfg.get("surface"), "surface", fields, required=tuple(fields))
     T, expiries, strikes = p["bond_maturity"], p["expiries"], p["strikes"]
     if not expiries or not strikes:
@@ -401,7 +414,7 @@ _BENCH_RUNS = 3
 def bench_grid(cfg: Optional[dict]):
     """(expiries, strike factors, tenor) for the benchmark, 100 points."""
     blk = (cfg or {}).get("bench")
-    fields = {"expiries": _floats, "strike_factors": _floats, "tenor": float}
+    fields = {"expiries": _floats, "strike_factors": _floats, "tenor": _float}
     p = _block({} if blk is None else blk, "bench", fields)
     # the gamma driver's one-sided support caps bond prices from below at
     # P(t,T,0) ~ 0.996 x forward on this grid, so the default strike band

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,10 +238,9 @@ class KernelEvaluator:
         if edges is not self._edges:
             self._set_edges(edges)
 
-    def _integrals(
-        self, xi: np.ndarray, lowers: Sequence[float], phi_average: bool
-    ) -> Dict[float, np.ndarray]:
-        """log int_L^S rho M, or the phi average over [L, S], per xi and L.
+    def _integrals(self, xi: np.ndarray, lowers: Sequence[float], phi_average: bool) -> dict:
+        """log int_L^S rho M per xi and L; with phi_average, the pair
+        (that log integral, the phi average over [L, S]) from the same pass.
 
         Panels are used as-is, 16-point rule only; the shift per xi is the
         largest exponent over all nodes.
@@ -252,6 +251,7 @@ class KernelEvaluator:
         w_full, base, phiv = self._w, self._base16, self._phi16
         wphi = w_full * phiv if phi_average else None
         out = {L: np.empty(xi.shape, dtype=float) for L in offsets}
+        avg = {L: np.empty(xi.shape, dtype=float) for L in offsets} if phi_average else None
         for i0 in range(0, xi.size, _CHUNK):
             x = xi[i0 : i0 + _CHUNK, None]
             E = x * phiv[None, :] + base[None, :]
@@ -261,11 +261,12 @@ class KernelEvaluator:
                 vals = M[:, off:] @ w_full[off:]
                 if phi_average:
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        out[L][i0 : i0 + _CHUNK] = (M[:, off:] @ wphi[off:]) / vals
+                        out[L][i0 : i0 + _CHUNK] = np.log(vals) + shift
+                        avg[L][i0 : i0 + _CHUNK] = (M[:, off:] @ wphi[off:]) / vals
                 else:
                     with np.errstate(divide="ignore"):
                         out[L][i0 : i0 + _CHUNK] = np.log(vals) + shift
-        return out
+        return {L: (out[L], avg[L]) for L in offsets} if phi_average else out
 
     def log_integral(self, xi: float, lower: Optional[float] = None) -> float:
         """log of int_lower^S rho_s M(t,s,xi) ds on the current panels."""
@@ -277,21 +278,65 @@ class KernelEvaluator:
         lower = self.t if lower is None else float(lower)
         if lower >= self.S:
             raise DomainError(f"no mass beyond lower={lower}")
-        ratio = float(self._integrals(np.array([float(xi)]), [lower], True)[lower][0])
+        ratio = float(self._integrals(np.array([float(xi)]), [lower], True)[lower][1][0])
         if not math.isfinite(ratio):
             raise NumericalError(f"kernel integral vanished at xi={xi}, lower={lower}")
         return ratio
+
+    def log_bond_and_slope(self, xi: float, T: float) -> Tuple[float, float]:
+        """(log P(t, T, xi), d log P / d xi) on the current panels, one pass.
+
+        The slope is Phi_tT - Phi_tt, the bond volatility: the exact
+        derivative in xi of the quadrature sums that give log P.
+        """
+        pairs = self._integrals(np.array([float(xi)]), [self.t, float(T)], True)
+        (log_t, avg_t), (log_T, avg_T) = pairs[self.t], pairs[float(T)]
+        return float(log_T[0] - log_t[0]), float(avg_T[0] - avg_t[0])
+
+    def _resolves(self, probes: np.ndarray, lowers: Sequence[float]) -> bool:
+        """True when refine(p, L) would split nothing for any probe p and
+        lower bound L: each L is already an edge and each integral meets
+        rel_tol on the current panels.
+
+        One exp pass and one set of panel estimates per probe serve every
+        bound. Sums from them can differ from refine's, which start at the
+        bound, in the last bits, so the test keeps a relative margin of
+        1e-9 and leaves a near tie to refine itself.
+        """
+        edges = self._edges
+        starts = []
+        for L in lowers:
+            start = self._first_panel(L)
+            if self.t < L < self.S and edges[start] != L:  # not yet an edge
+                return False
+            if start < len(edges) - 1:
+                starts.append(start)
+        tol = self.model.quad.rel_tol * (1.0 - 1e-9)
+        for p in probes:
+            E = self._base + self._phi * p
+            I, err = panel_estimates(edges, np.exp(E - float(np.max(E))))
+            for start in starts:
+                if not float(err[start:].sum()) <= tol * abs(float(I[start:].sum())):
+                    return False
+        return True
 
     def prepare(self, xi_probes, lowers: Sequence[float]) -> None:
         """Refine panels for a batch: every probe xi at every lower bound.
 
         Probes should cover the extremes and the bulk of the draws (min,
         max, a central value); the exponent is linear in xi, so panels
-        that resolve the extreme tilts resolve everything between.
+        that resolve the extreme tilts resolve everything between. When
+        the current panels already resolve every pair, nothing is split;
+        otherwise refine runs for each pair, bound by bound, so the panels
+        come out the same either way.
         """
+        probes = np.atleast_1d(np.asarray(xi_probes, dtype=float))
+        lowers = [float(L) for L in lowers]
+        if self._resolves(probes, lowers):
+            return
         for L in lowers:
-            for p in np.atleast_1d(np.asarray(xi_probes, dtype=float)):
-                self.refine(float(p), float(L))
+            for p in probes:
+                self.refine(float(p), L)
 
     def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """log kernel integrals for an array of xi at several lower bounds.
@@ -304,7 +349,8 @@ class KernelEvaluator:
 
     def phi_average_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """Phi_tT for an array of xi at several lower bounds T."""
-        return self._integrals(np.asarray(xi, dtype=float), lowers, True)
+        pairs = self._integrals(np.asarray(xi, dtype=float), lowers, True)
+        return {L: avg for L, (_, avg) in pairs.items()}
 
 
 # -- public operations ------------------------------------------------------

@@ -3,8 +3,11 @@
 The time-0 price of a call with expiry t and strike K on the T-bond is
 the expectation of (int_T^inf rho_s M_ts ds - K int_t^inf rho_s M_ts ds)+
 over the driver value at expiry. For monotone phi, the payoff region is a
-half-line {xi < xi*} or {xi > xi*} where xi* solves P(t, T, xi*) = K, and
-the expectation reduces to rho-weighted integrals of
+half-line {xi < xi*} or {xi > xi*} where xi* solves P(t, T, xi*) = K.
+The solve takes Newton steps on log P, whose slope in xi is the bond
+volatility Phi_tT - Phi_tt, given by the same kernel pass as P, and
+bisects when a step would leave the bracket. The expectation then
+reduces to rho-weighted integrals of
 
     G(s) = E[ 1_itm(X_t) * M_ts ],
 
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
 from .curve import RateModel, bond_price
@@ -58,6 +60,10 @@ __all__ = [
 
 _XI_CAP = 1e9  # bracket expansion limit before a strike is declared unreachable
 _RESIDUAL_TOL = 1e-12
+# the root solve stops at a step of at most _XTOL + _RTOL |xi| (4 ulps),
+# and fails after _MAX_STEPS steps
+_XTOL, _RTOL = 1e-14, 8.9e-16
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -81,11 +87,13 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class CriticalLevel:
-    """Root xi* of P(t, T, xi) = K with the bracket and achieved residual."""
+    """Root xi* of P(t, T, xi) = K with the bracket, the achieved residual
+    and the number of Newton or bisection steps the root solve took."""
 
     xi_star: float
     bracket: Tuple[float, float]
     residual: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -132,25 +140,31 @@ def _orientation(model: RateModel) -> str:
 
 
 def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
-    """Find xi* with |P(t,T,xi*) - K| <= 1e-12 by bracket expansion + brentq.
+    """Find xi* with |P(t,T,xi*) - K| <= 1e-12 by bracket expansion and a
+    safeguarded Newton solve on log P - log K.
 
     The panelization is refined at each bracket endpoint, then frozen for
     the root solve so the solver sees one smooth deterministic function of
-    xi. Raises StrikeOutOfRangeError when K is not attainable over the
-    driver's support, UnsupportedModelError for non-monotone phi.
+    xi. Each step costs one kernel pass, which gives log P and its exact
+    slope Phi_tT - Phi_tt together. Raises StrikeOutOfRangeError when K is
+    not attainable over the driver's support, UnsupportedModelError for
+    non-monotone phi, NumericalError when the root misses the residual
+    contract.
     """
     orient = _orientation(model)
     t, T, K = spec.expiry, spec.maturity, spec.strike
     if T == t or t == 0.0:
         raise DomainError("critical level is undefined for degenerate expiries")
     ev = model.evaluator(t)
+    log_k = math.log(K)
 
-    def P(xi: float) -> float:
-        return math.exp(ev.log_integral(xi, T) - ev.log_integral(xi, t))
+    def P(xi: float) -> Tuple[float, float]:
+        """(P(t, T, xi), log P - log K)."""
+        log_p = ev.log_bond_and_slope(xi, T)[0]
+        return math.exp(log_p), log_p - log_k
 
     def refine_at(xi: float) -> None:
-        ev.refine(xi, t)
-        ev.refine(xi, T)
+        ev.prepare([xi], (t, T))
 
     lo_support = model.fam.support_lower
     sign = 1.0 if orient == "upper" else -1.0  # dP/dxi sign
@@ -159,7 +173,7 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
     b = 1.0
     refine_at(a)
     refine_at(b)
-    Pa, Pb = P(a), P(b)
+    (Pa, fa), (Pb, fb) = P(a), P(b)
     # grow the bracket until K is enclosed; P is monotone so only the
     # deficient side needs pushing
     while (Pa - K) * sign > 0.0:
@@ -173,32 +187,64 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
         if abs(a) > _XI_CAP:
             raise StrikeOutOfRangeError(
                 f"strike {K} not bracketed by xi = {-_XI_CAP:g}",
-                side="always_itm" if P(a) > K else "always_otm",
+                side="always_itm" if P(a)[0] > K else "always_otm",
             )
         refine_at(a)
-        Pa = P(a)
+        Pa, fa = P(a)
     while (Pb - K) * sign < 0.0:
         b *= 2.0
         if b > _XI_CAP:
-            side = "always_itm" if P(b) > K else "always_otm"
+            side = "always_itm" if P(b)[0] > K else "always_otm"
             raise StrikeOutOfRangeError(f"strike {K} not bracketed by xi = {_XI_CAP:g}", side=side)
         refine_at(b)
-        Pb = P(b)
+        Pb, fb = P(b)
 
-    xi_star = float(brentq(lambda x: P(x) - K, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    def newton() -> Tuple[float, int]:
+        """(root of log P - log K in [a, b], steps taken).
+
+        Newton steps start from the regula falsi point and stay inside the
+        sign-change interval, which every step shrinks; a step that would
+        leave it, or a slope that is zero or not finite, is replaced by
+        bisection (rtsafe: Press et al., Numerical Recipes, section 9.4).
+        """
+        if fa == 0.0 or fb == 0.0:
+            return (a if fa == 0.0 else b), 0
+        lo, hi = a, b
+        x = a - fa * (b - a) / (fb - fa)
+        if not a < x < b:  # an infinite end value gives nan
+            x = 0.5 * (a + b)
+        for steps in range(1, _MAX_STEPS + 1):
+            log_p, slope = ev.log_bond_and_slope(x, T)
+            fx = log_p - log_k
+            if fx == 0.0:
+                return x, steps
+            if (fx < 0.0) == (fa < 0.0):
+                lo = x
+            else:
+                hi = x
+            nxt = x - fx / slope if slope != 0.0 and math.isfinite(slope) else math.nan
+            if not lo < nxt < hi:  # also catches nan
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - x) <= _XTOL + _RTOL * abs(nxt):
+                return nxt, steps
+            x = nxt
+        raise NumericalError(f"critical level not found in {_MAX_STEPS} steps (t={t}, T={T}, K={K})")
+
+    xi_star, iterations = newton()
 
     # honesty check with refinement re-enabled at the root
     refine_at(xi_star)
-    residual = abs(P(xi_star) - K)
+    residual = abs(P(xi_star)[0] - K)
     if residual > _RESIDUAL_TOL:
-        xi_star = float(brentq(lambda x: P(x) - K, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200))
-        residual = abs(P(xi_star) - K)
+        xi_star, more = newton()
+        iterations += more
+        residual = abs(P(xi_star)[0] - K)
         if residual > _RESIDUAL_TOL:
             raise NumericalError(
                 f"critical level residual {residual:.3e} above {_RESIDUAL_TOL:g} "
                 f"(t={t}, T={T}, K={K})"
             )
-    return CriticalLevel(xi_star=xi_star, bracket=(float(a), float(b)), residual=float(residual))
+    return CriticalLevel(xi_star, (float(a), float(b)), float(residual), iterations)
 
 
 # -- family-specific in-the-money weights -----------------------------------

@@ -114,9 +114,13 @@ class FlatYieldCurve(TermStructure):
 
 @dataclass(frozen=True)
 class CurveCheck:
+    """One curve invariant: the worst measured value and the bound it is
+    judged against."""
+
     name: str
     passed: bool
     worst: float
+    bound: float
     detail: str = ""
 
 
@@ -151,18 +155,17 @@ def validate_term_structure(ts: TermStructure, epsilon: float = 1e-12) -> CurveR
     P = np.asarray(ts.discount_factor(grid), dtype=float)
     rho = np.asarray(ts.density(grid), dtype=float)
 
-    checks.append(CurveCheck("unit_at_zero", abs(P[0] - 1.0) < 1e-12, P[0] - 1.0))
+    checks.append(CurveCheck("unit_at_zero", abs(P[0] - 1.0) < 1e-12, P[0] - 1.0, 1e-12))
 
     dP = np.diff(P)
     worst_inc = float(dP.max()) if dP.size else 0.0
-    checks.append(CurveCheck("strictly_decreasing", bool(np.all(dP < 0.0)), worst_inc))
+    checks.append(CurveCheck("strictly_decreasing", bool(np.all(dP < 0.0)), worst_inc, 0.0))
 
-    checks.append(
-        CurveCheck("decays_to_zero", has_horizon and P[-1] <= epsilon * P[0] * (1.0 + 1e-9), float(P[-1]))
-    )
+    floor = epsilon * P[0] * (1.0 + 1e-9)
+    checks.append(CurveCheck("decays_to_zero", has_horizon and P[-1] <= floor, float(P[-1]), floor))
 
     worst_rho = float(rho.min())
-    checks.append(CurveCheck("density_positive", bool(np.all(rho > 0.0)), worst_rho))
+    checks.append(CurveCheck("density_positive", bool(np.all(rho > 0.0)), worst_rho, 0.0))
 
     if has_horizon and np.all(rho > 0.0):
         # total mass: integral of rho over [0, S] must equal P0(0) - P0(S)
@@ -172,7 +175,7 @@ def validate_term_structure(ts: TermStructure, epsilon: float = 1e-12) -> CurveR
             lambda s: np.asarray(ts.density(s), dtype=float), 0.0, S, rel_tol=1e-12
         )
         mass_defect = mass + float(P[-1]) - 1.0
-        checks.append(CurveCheck("unit_mass", abs(mass_defect) < 1e-10, mass_defect))
+        checks.append(CurveCheck("unit_mass", abs(mass_defect) < 1e-10, mass_defect, 1e-10))
 
     # rho vs central finite difference of P0, relative 1e-6
     h = 1e-6 * np.maximum(grid[1:], 1.0)
@@ -181,6 +184,6 @@ def validate_term_structure(ts: TermStructure, epsilon: float = 1e-12) -> CurveR
     denom = np.maximum(np.abs(rho[1:]), 1e-300)
     rel = np.abs(fd - rho[1:]) / denom
     worst_fd = float(rel.max())
-    checks.append(CurveCheck("density_matches_slope", worst_fd < 1e-6, worst_fd))
+    checks.append(CurveCheck("density_matches_slope", worst_fd < 1e-6, worst_fd, 1e-6))
 
     return CurveReport(tuple(checks))

@@ -67,9 +67,9 @@ class ValidationReport:
 
 
 def curve_checks(report: CurveReport) -> List[CheckResult]:
-    """The initial curve's contract checks, named curve_*, with bound 0."""
+    """The initial curve's contract checks, named curve_*, each with its bound."""
     return [
-        CheckResult(name=f"curve_{c.name}", passed=c.passed, measured=c.worst, bound=0.0, detail=c.detail)
+        CheckResult(name=f"curve_{c.name}", passed=c.passed, measured=c.worst, bound=c.bound, detail=c.detail)
         for c in report.checks
     ]
 

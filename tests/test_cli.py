@@ -290,11 +290,19 @@ def _boundary_cases():
                 if value is None and path in (("quadrature",), ("bench",)):
                     continue  # a null block means "use the defaults"
                 cases.append(pytest.param(command, path, value, id=f"{'.'.join(map(str, path))}={value!r}"))
-    # numbers a converter accepts but the run cannot use
+    # numbers the run cannot use, and values Python's int and float would
+    # take: a fraction for a count (truncated) and a boolean (read as 1)
     cases += [
         pytest.param("simulate", ("simulate", "steps"), float("inf"), id="simulate.steps=inf"),
         pytest.param("bench", ("bench", "expiries"), [], id="bench.expiries=[]"),
         pytest.param("bench", ("bench", "strike_factors"), [], id="bench.strike_factors=[]"),
+        pytest.param("simulate", ("simulate", "steps"), 4.7, id="simulate.steps=4.7"),
+        pytest.param("simulate", ("simulate", "steps"), True, id="simulate.steps=True"),
+        pytest.param(
+            "price", ("quadrature", "max_subdivisions"), 2000.9, id="quadrature.max_subdivisions=2000.9"
+        ),
+        pytest.param("price", ("curve", "yield"), True, id="curve.yield=True"),
+        pytest.param("surface", ("surface", "expiries"), [True], id="surface.expiries=[True]"),
     ]
     return cases
 

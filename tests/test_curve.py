@@ -214,6 +214,42 @@ def test_breakpoint_registration_idempotent(gbm_model):
     assert len(ev._edges) == n
 
 
+@pytest.mark.parametrize("xi, warm, splits", [(0.3, True, False), (25.0, True, True), (0.3, False, True)])
+def test_prepare_leaves_the_panels_of_refine(xi, warm, splits, flat2):
+    # prepare checks every bound in one pass and refines only when one needs
+    # it; either way the panels must be those of refine at t, then at T
+    def evaluator():
+        model = lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.5))
+        ev = model.evaluator(1.0)
+        if warm:
+            ev.refine(0.0, 1.0)
+            ev.refine(0.0, 3.0)
+        return ev
+
+    prepared, refined = evaluator(), evaluator()
+    before = prepared._edges
+    prepared.prepare([xi], (1.0, 3.0))
+    refined.refine(xi, 1.0)
+    refined.refine(xi, 3.0)
+    assert np.array_equal(prepared._edges, refined._edges)
+    assert (prepared._edges is not before) == splits
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_bond_slope_is_the_bond_volatility(name, all_figure_models):
+    model = all_figure_models[name]
+    t, T, xi = 1.0, 3.0, 0.4
+    ev = model.evaluator(t)
+    ev.prepare([xi], (t, T))
+    log_p, slope = ev.log_bond_and_slope(xi, T)
+    # the same sums as the two log integrals of bond_price, bit for bit
+    assert math.exp(log_p) == lr.bond_price(model, ModelState(t=t, xi=xi), T)
+    assert slope == pytest.approx(lr.bond_volatility(model, ModelState(t=t, xi=xi), T), abs=1e-10)
+    h = 1e-4
+    up, down = (math.log(lr.bond_price(model, ModelState(t=t, xi=xi + d), T)) for d in (h, -h))
+    assert slope == pytest.approx((up - down) / (2.0 * h), abs=1e-6)
+
+
 @pytest.mark.parametrize("xi", [20.0, -20.0])
 def test_split_path_matches_mpmath(xi):
     # a steep tilt at a tight tolerance makes refine bisect panels; the

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from levyrates.options import (
     price_call_mc,
     solve_critical_level,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SPECS = {
     "gbm": OptionSpec(expiry=1.0, maturity=3.0, strike=0.96),
@@ -66,6 +72,77 @@ def test_critical_level_rejects_degenerate_expiries(gbm_model):
         solve_critical_level(gbm_model, OptionSpec(expiry=0.0, maturity=3.0, strike=0.9))
     with pytest.raises(DomainError):
         solve_critical_level(gbm_model, OptionSpec(expiry=2.0, maturity=2.0, strike=0.9))
+
+
+def _bisect_root(model, t, T, K, lo, hi):
+    """xi with P(t, T, xi) = K by plain bisection on bond_price_at."""
+    f_lo = bond_price_at(model, t, T, lo) - K
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (bond_price_at(model, t, T, mid) - K) * f_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+# a steep curve and a fast-decaying tilt keep the bond's slope in xi near
+# 0.1, so rounding noise in P moves the root by far less than the 1e-13
+# compared
+_ORIENTED = [
+    (name, c)
+    for name in ("gbm", "jd", "gamma", "vg")
+    for c in (1.0, -1.0)  # decreasing phi ("lower"), increasing phi ("upper")
+]
+
+
+def _oriented_model(name, c):
+    fam = {
+        "gbm": lr.BrownianFamily(),
+        "jd": lr.JumpDiffusionFamily(lam=5.0, mu=0.0, delta=1.0),
+        "gamma": lr.GammaFamily(m=1.0, kappa=0.5),
+        "vg": lr.VarianceGammaFamily(mu=0.02, sigma=0.3, m=20.0),
+    }[name]
+    return lr.RateModel(ts=lr.FlatYieldCurve(y=0.2), fam=fam, phi=lr.ExpDecayPhi(c=c, b=0.5))
+
+
+@pytest.mark.parametrize(
+    "name, c, slope", [(name, c, True) for name, c in _ORIENTED] + [("jd", 1.0, False)]
+)
+def test_critical_level_matches_bisection(name, c, slope, monkeypatch):
+    t, T, xi0 = 1.0, 3.0, 0.7
+    K = bond_price_at(_oriented_model(name, c), t, T, xi0)
+    oracle_model = _oriented_model(name, c)
+    if not slope:  # a slope that is not finite leaves every step to bisection
+        with_slope = lr.KernelEvaluator.log_bond_and_slope
+
+        def no_slope(self, xi, T):
+            return with_slope(self, xi, T)[0], math.nan
+
+        monkeypatch.setattr(lr.KernelEvaluator, "log_bond_and_slope", no_slope)
+    crit = solve_critical_level(_oriented_model(name, c), OptionSpec(expiry=t, maturity=T, strike=K))
+    oracle = _bisect_root(oracle_model, t, T, K, *crit.bracket)
+    assert crit.xi_star == pytest.approx(oracle, abs=1e-13)
+    assert crit.iterations < 10 if slope else crit.iterations > 30
+
+
+def test_critical_level_iteration_count():
+    # fig1 model; the Newton count, pinned so that a silent fall-back to
+    # bisection (40 steps or more) shows
+    from levyrates.cli import load_config, model_from_config
+
+    model = model_from_config(load_config(str(CONFIGS / "fig1_gbm.json")))
+    crit = solve_critical_level(model, OptionSpec(expiry=1.0, maturity=30.0, strike=0.6))
+    assert crit.residual <= 1e-12
+    assert crit.iterations == 3
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, levyrates, levyrates.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(lr.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- in-the-money weights: unit-mass limits from E[M] = 1 ----------------------

@@ -99,3 +99,13 @@ def test_validation_report_names_every_check():
     }
     assert report.passed
     assert report.worst_failure() is None
+
+
+def test_curve_check_lines_print_their_bound():
+    # each check is judged against its own tolerance, and its line says which
+    from levyrates.validation import curve_checks
+
+    report = lr.validate_term_structure(lr.FlatYieldCurve(y=-0.01))
+    lines = {c.name: c.line() for c in curve_checks(report)}
+    assert lines["curve_density_matches_slope"].startswith("PASS")
+    assert "bound=1e-06" in lines["curve_density_matches_slope"]
