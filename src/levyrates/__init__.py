@@ -40,7 +40,7 @@ from .martingales import (
     martingale_value,
 )
 from .quadrature import adaptive_integrate
-from .specialfn import PsiArgs, norm_cdf, psi_integral, psi_integral_batch, reg_upper_gamma
+from .specialfn import psi_integral_batch, reg_upper_gamma
 from .curve import (
     KernelEvaluator,
     QuadratureSettings,
@@ -94,10 +94,7 @@ __all__ = [
     "martingale_value",
     "log_martingale_value",
     "adaptive_integrate",
-    "norm_cdf",
     "reg_upper_gamma",
-    "PsiArgs",
-    "psi_integral",
     "psi_integral_batch",
     "QuadratureSettings",
     "RateModel",

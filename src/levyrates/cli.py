@@ -6,7 +6,7 @@ down to the byte: every file starts with comment lines naming the units
 and a hash of the config+seed, floats print with 17 significant digits,
 and Monte Carlo streams are derived per row index.
 
-Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 validation
+Exit codes: 0 ok, 1 config or usage error, 2 numerical failure, 3 validation
 failure.
 """
 
@@ -443,10 +443,9 @@ def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:
     for _ in range(_BENCH_RUNS):
         for name, mcfg in _BENCH_MODELS.items():
             model = model_from_config(mcfg)
-            P0 = model.ts.discount_factor
             jobs = []
             for e in expiries:
-                fwd = float(P0(e + tenor)) / float(P0(e))
+                fwd = model.ts.forward_price(e, e + tenor)
                 for f in factors:
                     jobs.append(OptionSpec(expiry=e, maturity=e + tenor, strike=f * fwd))
             t0 = time.perf_counter()
@@ -476,43 +475,49 @@ def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are config errors (exit 1): exit 2 is a
+    numerical failure here, not a malformed command line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+# subcommand -> (handler, help, the flags beyond --config/--seed/--out it reads)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "simulate one driver path with bond and short-rate columns (CSV)", ()),
+    "price": (cmd_price, "price bonds, rates, and options at one state (JSON)", ("--mc", "--paths")),
+    "surface": (cmd_surface, "price a call option grid over expiries and strikes (CSV)", ("--mc", "--paths")),
+    "validate": (cmd_validate, "run the model invariant suite", ("--paths",)),
+    "bench": (cmd_bench, "time 100 analytic call prices per family", ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="levyrates",
         description="Rational term-structure models driven by exponential Levy martingales",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "simulate one driver path with bond and short-rate columns (CSV)"),
-        ("price", "price bonds, rates, and options at one state (JSON)"),
-        ("surface", "price a call option grid over expiries and strikes (CSV)"),
-        ("validate", "run the model invariant suite"),
-        ("bench", "time 100 analytic call prices per family"),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", help="path to the JSON config")
         q.add_argument("--seed", type=int, default=0, help="random seed (unsigned 64-bit)")
         q.add_argument("--out", help="output file path (default: stdout)")
-        q.add_argument("--mc", action="store_true", help="add Monte Carlo price columns")
-        q.add_argument("--paths", type=int, default=100_000, help="Monte Carlo path count")
+        if "--mc" in flags:
+            q.add_argument("--mc", action="store_true", help="add Monte Carlo price columns")
+        if "--paths" in flags:
+            q.add_argument("--paths", type=int, default=100_000, help="Monte Carlo path count")
     return p
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "price": cmd_price,
-    "surface": cmd_surface,
-    "validate": cmd_validate,
-    "bench": cmd_bench,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if not (0 <= args.seed < 2**64):
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
-        if args.paths < 1000:
+        if "paths" in args and args.paths < 1000:
             raise ConfigError(f"--paths must be at least 1000, got {args.paths}")
         if args.command == "bench":
             cfg = load_config(args.config) if args.config else None
@@ -520,11 +525,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not args.config:
                 raise ConfigError(f"{args.command} requires --config")
             cfg = load_config(args.config)
-        return _DISPATCH[args.command](cfg, args.seed, args.out, args)
-    except (ConfigError, UnsupportedModelError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
-    except DomainError as exc:
+        return _COMMANDS[args.command][0](cfg, args.seed, args.out, args)
+    except (ConfigError, DomainError, UnsupportedModelError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     except NumericalError as exc:

@@ -1,10 +1,10 @@
 """Special functions used by the closed-form option prices.
 
-Three pieces: the standard normal CDF, the regularized upper incomplete
-gamma function, and the gamma-mixture normal integral
+Two pieces: the regularized upper incomplete gamma function, and a fixed
+rule for the gamma-mixture normal integral
 
-    psi_integral(a, b, c) = int_0^inf N(a/sqrt(u) + b sqrt(u))
-                            u^{c-1} e^{-u} / Gamma(c) du,
+    psi(a, b, c) = int_0^inf N(a/sqrt(u) + b sqrt(u))
+                   u^{c-1} e^{-u} / Gamma(c) du,
 
 which is the kernel of the variance-gamma option formula (the expectation
 of a normal CDF over a Gamma(c, 1) time).
@@ -13,21 +13,14 @@ of a normal CDF over a Gamma(c, 1) time).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, ndtr
 
 from .errors import DomainError, NumericalError
-from .quadrature import adaptive_integrate, gauss_legendre_nodes
+from .quadrature import gauss_legendre_nodes
 
-__all__ = ["norm_cdf", "reg_upper_gamma", "PsiArgs", "psi_integral", "psi_integral_batch"]
-
-
-def norm_cdf(x):
-    """Standard normal CDF; scalar in, float out; arrays pass through."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
+__all__ = ["reg_upper_gamma", "psi_integral_batch"]
 
 
 def reg_upper_gamma(a, x):
@@ -44,21 +37,6 @@ def reg_upper_gamma(a, x):
         raise DomainError("incomplete gamma argument x must be nonnegative")
     out = np.clip(gammaincc(a_arr, x_arr), 0.0, 1.0)
     return float(out) if np.ndim(a) == 0 and np.ndim(x) == 0 else out
-
-
-@dataclass(frozen=True)
-class PsiArgs:
-    """Arguments of the gamma-mixture normal integral; shape c > 0."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"psi arguments must be finite, got a={self.a}, b={self.b}")
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise DomainError(f"mixture shape c must be positive, got {self.c}")
 
 
 def _log_weight_window(c: float, drop: float = 45.0):
@@ -92,45 +70,6 @@ def _log_weight_window(c: float, drop: float = 45.0):
     return v_lo, v_hi
 
 
-def psi_integral(args: PsiArgs) -> float:
-    """Deterministic evaluation of the gamma-mixture normal integral.
-
-    Substituting u = e^v turns the Gamma(c,1) weight into
-    exp(c v - e^v - ln Gamma(c)), a bounded unimodal bump peaking at
-    v = ln c. We integrate adaptively over the window where the weight is
-    alive. Absolute accuracy is far inside the 1e-8 target.
-    """
-    a, b, c = args.a, args.b, args.c
-    lg = math.lgamma(c)
-    v_lo, v_hi = _log_weight_window(c)
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            half = 0.5 * v
-            arg = np.zeros_like(v)
-            if a != 0.0:
-                arg = arg + a * np.exp(-half)
-            if b != 0.0:
-                arg = arg + b * np.exp(half)
-            w = np.exp(c * v - np.exp(v) - lg)
-        return ndtr(arg) * w
-
-    # For small c the window stretches ~45/c units to the left while the CDF
-    # factor only varies over a few units of v (near v ~ 2 log|a| and
-    # v ~ -2 log|b|, both O(10) for sane arguments); uniform seeds alone can
-    # step right over that region, so a second denser seed set pins it down.
-    # Further left the CDF is saturated and the integrand is a plain
-    # exponential, which the sparse seeds cover fine.
-    seeds = np.union1d(
-        np.linspace(v_lo, v_hi, 17),
-        np.linspace(max(v_lo, v_hi - 70.0), v_hi, 33),
-    )
-    value, _err = adaptive_integrate(
-        integrand, v_lo, v_hi, rel_tol=1e-12, abs_tol=1e-13, points=seeds
-    )
-    return min(max(value, 0.0), 1.0)
-
-
 _BATCH_RULE_CACHE: dict = {}
 
 # Below the lower cutoff the Laguerre rule stalls (measured: 7.9e-3 worst
@@ -140,26 +79,27 @@ _BATCH_RULE_CACHE: dict = {}
 # weights overflow: they carry a Gamma(c) factor and Gamma(171) > DBL_MAX.
 _LAGUERRE_MIN_SHAPE = 10.0
 _LAGUERRE_MAX_SHAPE = 170.0
+_LAGUERRE_NODES = 64
 
 
-def _batch_rule(c: float, n_nodes: int):
+def _batch_rule(c: float):
     """Nodes sqrt(u_i) and normalized weights for the gamma-mixture rule.
 
     Generalized Gauss-Laguerre for moderate c; outside that band, composite
     16-point Gauss-Legendre panels in v = log u across the window where the
     weight exp(c v - e^v - ln Gamma(c)) is alive. In v the integrand is
     entire with O(1) length scale, so panels of width ~0.6 converge past
-    1e-13 uniformly in c. n_nodes sizes the Laguerre branch only; the
-    log-grid branch is sized by the window.
+    1e-13 uniformly in c. The Laguerre branch has _LAGUERRE_NODES nodes;
+    the log-grid branch is sized by the window.
     """
-    key = (n_nodes, round(c, 12))
+    key = round(c, 12)
     cached = _BATCH_RULE_CACHE.get(key)
     if cached is not None:
         return cached
     if _LAGUERRE_MIN_SHAPE <= c < _LAGUERRE_MAX_SHAPE:
         from scipy.special import roots_genlaguerre
 
-        u, w = roots_genlaguerre(n_nodes, c - 1.0)
+        u, w = roots_genlaguerre(_LAGUERRE_NODES, c - 1.0)
         wn = w * math.exp(-math.lgamma(c))
     else:
         v_lo, v_hi = _log_weight_window(c)
@@ -183,17 +123,17 @@ def _batch_rule(c: float, n_nodes: int):
     return rule
 
 
-def psi_integral_batch(a, b, c: float, n_nodes: int = 64) -> np.ndarray:
-    """Fixed-rule evaluation of psi_integral over arrays of (a, b).
+def psi_integral_batch(a, b, c: float) -> np.ndarray:
+    """Fixed-rule evaluation of psi(a, b, c) over arrays of (a, b).
 
     The weights sum to one, so the result is a convex combination of normal
     CDF values. Used by the pricing loop, where one call covers all outer
-    quadrature nodes at once; the scalar adaptive version serves as its
-    accuracy check.
+    quadrature nodes at once; an adaptive scalar evaluation in the test
+    suite serves as its accuracy check.
     """
     if not (c > 0.0):
         raise DomainError(f"mixture shape c must be positive, got {c}")
-    root, wn = _batch_rule(c, n_nodes)
+    root, wn = _batch_rule(c)
     a_arr = np.asarray(a, dtype=float)[..., None]
     b_arr = np.asarray(b, dtype=float)[..., None]
     with np.errstate(over="ignore"):  # a / root -> inf at far-left nodes is intended

@@ -207,7 +207,7 @@ def run_validation(
     )
 
     # option pricing: critical level residual and agreement with MC
-    K = float(model.ts.discount_factor(T)) / float(model.ts.discount_factor(t))
+    K = model.ts.forward_price(t, T)
     spec = OptionSpec(expiry=t, maturity=T, strike=K)
     try:
         crit = solve_critical_level(model, spec)

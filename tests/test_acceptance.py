@@ -21,7 +21,8 @@ from levyrates import ModelState, OptionSpec
 from levyrates.cli import main as cli_main
 from levyrates.options import _poisson_cutoff, bond_price_at, price_call, solve_critical_level
 from levyrates.quadrature import adaptive_integrate
-from levyrates.specialfn import PsiArgs, norm_cdf, psi_integral, reg_upper_gamma
+from levyrates.specialfn import reg_upper_gamma
+from oracles import PsiArgs, norm_cdf, psi_integral
 
 
 # verdict lines are replayed by the terminal-summary hook in conftest.py so

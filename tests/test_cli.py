@@ -214,6 +214,34 @@ def test_exit_1_bad_flag_values(tmp_path):
     assert main(["price", "--config", cfg, "--paths", "10"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["price", "--bogus"], id="unknown-flag"),
+        pytest.param(["price", "--seed", "x"], id="seed-not-int"),
+        pytest.param([], id="no-command"),
+        pytest.param(["simulate", "--config", FIG1, "--mc"], id="simulate-mc"),
+        pytest.param(["simulate", "--config", FIG1, "--paths", "5000"], id="simulate-paths"),
+        pytest.param(["validate", "--config", FIG1, "--mc"], id="validate-mc"),
+        pytest.param(["bench", "--mc"], id="bench-mc"),
+        pytest.param(["bench", "--paths", "5000"], id="bench-paths"),
+    ],
+)
+def test_exit_1_usage_error(argv, capsys):
+    # exit 2 is reserved for numerical failure; a command line argparse
+    # rejects, a flag the subcommand does not read included, is exit 1
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage: levyrates" in err and "config error" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--help"])
+    assert exc.value.code == 0
+    assert "--paths" in capsys.readouterr().out
+
+
 def test_exit_2_quadrature_budget_exhausted(tmp_path, capsys):
     # a tolerance the panel budget cannot reach: the run must fail loudly
     # with the numerical exit code, not return a degraded price

@@ -256,11 +256,12 @@ def test_jd_series_cutoff_override(jd5_model):
     assert abs(starved - base) > 1e-4
 
 
-def test_vg_node_override(vg_model):
+def test_price_call_takes_no_other_keyword(vg_model):
+    # the VG rule and the JD series tail are fixed; only jd_n_max is settable
     spec = OptionSpec(expiry=1.0, maturity=3.0, strike=0.96)
-    p64 = price_call(vg_model, spec, vg_nodes=64).price
-    p128 = price_call(vg_model, spec, vg_nodes=128).price
-    assert p64 == pytest.approx(p128, abs=1e-10)
+    for kwargs in ({"vg_nodes": 64}, {"jd_series_tail": 1e-12}):
+        with pytest.raises(TypeError):
+            price_call(vg_model, spec, **kwargs)
 
 
 # -- Monte Carlo pricer -----------------------------------------------------------

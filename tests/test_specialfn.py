@@ -8,7 +8,15 @@ from scipy.special import gammaln
 
 import levyrates as lr
 from levyrates.errors import DomainError
-from levyrates.specialfn import PsiArgs, norm_cdf, psi_integral, psi_integral_batch, reg_upper_gamma
+from levyrates.specialfn import psi_integral_batch, reg_upper_gamma
+from oracles import PsiArgs, norm_cdf, psi_integral
+
+
+def test_oracles_are_not_package_api():
+    # the normal CDF and the adaptive mixture integral live in tests/oracles.py
+    for name in ("norm_cdf", "PsiArgs", "psi_integral"):
+        assert not hasattr(lr, name) and name not in lr.__all__
+
 
 # -- normal CDF ---------------------------------------------------------------
 
