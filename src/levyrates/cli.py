@@ -484,6 +484,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_MC_PATHS = 100_000  # Monte Carlo draws when --paths is not given
+
 # subcommand -> (handler, help, the flags beyond --config/--seed/--out it reads)
 _COMMANDS = {
     "simulate": (cmd_simulate, "simulate one driver path with bond and short-rate columns (CSV)", ()),
@@ -508,15 +510,24 @@ def _build_parser() -> argparse.ArgumentParser:
         if "--mc" in flags:
             q.add_argument("--mc", action="store_true", help="add Monte Carlo price columns")
         if "--paths" in flags:
-            q.add_argument("--paths", type=int, default=100_000, help="Monte Carlo path count")
+            # no default where --mc exists: main() tells --paths without --mc apart
+            default = None if "--mc" in flags else _MC_PATHS
+            q.add_argument(
+                "--paths", type=int, default=default, help=f"Monte Carlo path count (default {_MC_PATHS})"
+            )
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
         if not (0 <= args.seed < 2**64):
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
+        if "mc" in args:
+            if args.paths is not None and not args.mc:
+                parser.error(f"{args.command}: --paths needs --mc")
+            args.paths = _MC_PATHS if args.paths is None else args.paths
         if "paths" in args and args.paths < 1000:
             raise ConfigError(f"--paths must be at least 1000, got {args.paths}")
         if args.command == "bench":

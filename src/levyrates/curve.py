@@ -49,10 +49,20 @@ __all__ = [
     "risk_premium",
 ]
 
-# xi values per pass of the batch kernel: a pass holds a few temporaries
-# of _CHUNK x nodes floats (32 MB each at 200 nodes), so this caps the
-# peak memory of a Monte Carlo price whatever its path count
-_CHUNK = 20000
+# floats per block of the batch kernel (1 MiB). A block holds as many
+# draws as fit, rounded down to a multiple of 16 and at least 16: the
+# BLAS matvec sums rows in groups, and a row outside a group can round
+# differently in the last bit. One buffer per call is filled in place
+# block by block, so the exponents stay in cache from the fill through
+# exp to the matvecs, and a batch needs this much memory beyond its
+# output arrays whatever its size (more only past 8,192 nodes, where
+# the 16-draw floor takes over).
+_BLOCK_FLOATS = 1 << 17
+
+
+def _block_rows(nodes: int) -> int:
+    """Draws per block of the batch kernel at this many nodes."""
+    return 16 * max(1, _BLOCK_FLOATS // (16 * nodes))
 
 
 @dataclass(frozen=True)
@@ -175,6 +185,7 @@ class KernelEvaluator:
 
     def _set_edges(self, edges: np.ndarray) -> None:
         self._edges = edges
+        self._offset_cache: Dict[tuple, Dict[float, int]] = {}
         self._base, self._phi = self._node_data(edges)
         self._w = (0.5 * (edges[1:] - edges[:-1])[:, None] * W16).ravel()
         self._base16 = self._base[:, :16].ravel()
@@ -185,13 +196,13 @@ class KernelEvaluator:
         x = float(x)
         if x <= self.t or x >= self.S:
             return
-        k = int(np.searchsorted(self._edges, x, side="right")) - 1
+        k = int(self._edges.searchsorted(x, side="right")) - 1
         if self._edges[k] != x:
             self._set_edges(split(self._edges, k, x))
 
     def _first_panel(self, lower: float) -> int:
         """Index of the panel from lower on; lower must be registered."""
-        return int(np.searchsorted(self._edges, min(max(lower, self.t), self.S)))
+        return int(self._edges.searchsorted(min(max(lower, self.t), self.S)))
 
     # -- tail --------------------------------------------------------------
 
@@ -238,34 +249,47 @@ class KernelEvaluator:
         if edges is not self._edges:
             self._set_edges(edges)
 
+    def _offsets(self, lowers: Sequence[float]) -> Dict[float, int]:
+        """Node offset of each lower bound, registering the bounds as
+        edges first; cached per bounds tuple until the edges change."""
+        key = tuple(lowers)
+        offsets = self._offset_cache.get(key)
+        if offsets is None:
+            for L in lowers:
+                self.ensure_breakpoint(L)  # before any offset is read
+            offsets = {float(L): 16 * self._first_panel(L) for L in lowers}
+            self._offset_cache[key] = offsets
+        return offsets
+
     def _integrals(self, xi: np.ndarray, lowers: Sequence[float], phi_average: bool) -> dict:
         """log int_L^S rho M per xi and L; with phi_average, the pair
         (that log integral, the phi average over [L, S]) from the same pass.
 
         Panels are used as-is, 16-point rule only; the shift per xi is the
-        largest exponent over all nodes.
+        largest exponent over all nodes. The draws run in blocks of
+        _BLOCK_FLOATS floats, each filled in place in one buffer.
         """
-        for L in lowers:
-            self.ensure_breakpoint(L)  # before any offset is read
-        offsets = {float(L): 16 * self._first_panel(L) for L in lowers}
+        offsets = self._offsets(lowers)
         w_full, base, phiv = self._w, self._base16, self._phi16
         wphi = w_full * phiv if phi_average else None
         out = {L: np.empty(xi.shape, dtype=float) for L in offsets}
         avg = {L: np.empty(xi.shape, dtype=float) for L in offsets} if phi_average else None
-        for i0 in range(0, xi.size, _CHUNK):
-            x = xi[i0 : i0 + _CHUNK, None]
-            E = x * phiv[None, :] + base[None, :]
-            shift = E.max(axis=1)
-            M = np.exp(E - shift[:, None])
-            for L, off in offsets.items():
-                vals = M[:, off:] @ w_full[off:]
-                if phi_average:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        out[L][i0 : i0 + _CHUNK] = np.log(vals) + shift
-                        avg[L][i0 : i0 + _CHUNK] = (M[:, off:] @ wphi[off:]) / vals
-                else:
-                    with np.errstate(divide="ignore"):
-                        out[L][i0 : i0 + _CHUNK] = np.log(vals) + shift
+        rows = _block_rows(base.size)
+        buf = np.empty((min(rows, xi.size), base.size), dtype=float)
+        for i0 in range(0, xi.size, rows):
+            i1 = min(i0 + rows, xi.size)
+            M = buf[: i1 - i0]
+            np.multiply(xi[i0:i1, None], phiv, out=M)
+            M += base
+            shift = M.max(axis=1)
+            M -= shift[:, None]
+            np.exp(M, out=M)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a vanished integral
+                for L, off in offsets.items():
+                    vals = M[:, off:] @ w_full[off:]
+                    out[L][i0:i1] = np.log(vals) + shift
+                    if phi_average:
+                        avg[L][i0:i1] = (M[:, off:] @ wphi[off:]) / vals
         return {L: (out[L], avg[L]) for L in offsets} if phi_average else out
 
     def log_integral(self, xi: float, lower: Optional[float] = None) -> float:
@@ -343,7 +367,10 @@ class KernelEvaluator:
 
         Panels are used as-is: call prepare() with representative probe
         xi values first; the 16-point rule on panels refined to rel_tol
-        leaves bias far below Monte Carlo resolution.
+        leaves bias far below Monte Carlo resolution. Every xi gets its
+        exact kernel value. The draws run through blocks of about 1 MiB
+        (_BLOCK_FLOATS), so the memory a call needs beyond its output
+        arrays does not grow with the batch.
         """
         return self._integrals(np.asarray(xi, dtype=float), lowers, False)
 

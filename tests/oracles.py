@@ -44,12 +44,16 @@ class PsiArgs:
             raise DomainError(f"mixture shape c must be positive, got {self.c}")
 
 
-def _log_weight_window(c: float, drop: float = 45.0):
+# e-folds below its peak at which the Gamma(c,1) weight counts as dead
+_WINDOW_DROP = 45.0
+
+
+def _log_weight_window(c: float):
     """Interval in v = log u outside which the Gamma(c,1) weight is dead.
 
     The weight exp(c v - e^v - ln Gamma(c)) is unimodal with peak at
-    v = ln c; the window is expanded until it has dropped `drop` e-folds
-    below the peak on both sides.
+    v = ln c; the window is expanded until it has dropped _WINDOW_DROP
+    e-folds below the peak on both sides.
     """
     lg = math.lgamma(c)
     v_star = math.log(c)
@@ -60,14 +64,14 @@ def _log_weight_window(c: float, drop: float = 45.0):
     peak = log_weight(v_star)
     v_lo = v_star - 1.0
     step = 1.0
-    while log_weight(v_lo) > peak - drop:
+    while log_weight(v_lo) > peak - _WINDOW_DROP:
         v_lo -= step
         step *= 2.0
         if step > 1e18:  # pragma: no cover - weight always decays left
             raise NumericalError("mixture weight lower cutoff not found")
     v_hi = v_star + 1.0
     step = 1.0
-    while log_weight(v_hi) > peak - drop:
+    while log_weight(v_hi) > peak - _WINDOW_DROP:
         v_hi += step
         step *= 2.0
         if step > 1e6:  # pragma: no cover - e^v term kills the right tail

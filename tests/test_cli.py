@@ -225,6 +225,10 @@ def test_exit_1_bad_flag_values(tmp_path):
         pytest.param(["validate", "--config", FIG1, "--mc"], id="validate-mc"),
         pytest.param(["bench", "--mc"], id="bench-mc"),
         pytest.param(["bench", "--paths", "5000"], id="bench-paths"),
+        pytest.param(["price", "--config", FIG1, "--paths", "5000"], id="price-paths-without-mc"),
+        pytest.param(
+            ["surface", "--config", FIG5_JD, "--paths", "5000"], id="surface-paths-without-mc"
+        ),
     ],
 )
 def test_exit_1_usage_error(argv, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import levyrates as lr
 from levyrates import DomainError, ModelState
-from levyrates.curve import kernel_integral
+from levyrates.curve import _block_rows, kernel_integral
 
 STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=-0.8), ModelState(t=3.0, xi=1.5)]
 GAMMA_STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=0.0), ModelState(t=3.0, xi=1.5)]
@@ -191,6 +192,54 @@ def test_batch_matches_scalar_integrals(vg_model):
     for L in lowers:
         for i, x in enumerate(xi):
             assert avg[L][i] == pytest.approx(ev.weighted_ratio(float(x), L), rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_batch_across_block_boundaries(name, all_figure_models):
+    # two full blocks and a partial one: every block must give each draw
+    # what the one-draw pass gives it, in both modes of the batch kernel
+    model = all_figure_models[name]
+    t, lowers = 1.0, [1.0, 4.0]
+    ev = model.evaluator(t)
+    draws = model.fam.sample_increment(t, np.random.default_rng(11), size=4000)
+    ev.prepare([float(draws.min()), float(np.median(draws)), float(draws.max())], lowers)
+    xi = draws[: 2 * _block_rows(ev._base16.size) + 7]
+    assert xi.size == 2 * _block_rows(ev._base16.size) + 7
+    logs = ev.log_integral_batch(xi, lowers)
+    pairs = ev._integrals(xi, lowers, True)
+    avgs = ev.phi_average_batch(xi, lowers)
+    for L in lowers:
+        scalar_log = np.array([ev.log_integral(float(x), L) for x in xi])
+        scalar_avg = np.array([ev.weighted_ratio(float(x), L) for x in xi])
+        assert np.max(np.abs(logs[L] - scalar_log)) <= 1e-15
+        assert np.max(np.abs(pairs[L][0] - scalar_log)) <= 1e-15
+        np.testing.assert_allclose(pairs[L][1], scalar_avg, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(avgs[L], pairs[L][1])
+
+
+def test_batch_of_no_draws_is_empty(vg_model):
+    ev = vg_model.evaluator(1.0)
+    logs = ev.log_integral_batch(np.array([]), [1.0, 3.0])
+    avgs = ev.phi_average_batch(np.array([]), [1.0, 3.0])
+    for L in (1.0, 3.0):
+        assert logs[L].shape == (0,) and avgs[L].shape == (0,)
+
+
+def test_batch_memory_is_bounded(jd_model):
+    # the kernel works through fixed-size blocks in one buffer, so beyond
+    # its output arrays a large batch needs only a few MiB
+    t, lowers = 1.0, [1.0, 3.0]
+    ev = jd_model.evaluator(t)
+    xi = jd_model.fam.sample_increment(t, np.random.default_rng(5), size=200_000)
+    ev.prepare([float(xi.min()), 0.0, float(xi.max())], lowers)
+    tracemalloc.start()
+    try:
+        logs = ev.log_integral_batch(xi, lowers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(v.nbytes for v in logs.values())
+    assert peak < outputs + 4 * 2**20
 
 
 def test_refinement_is_stable_under_repetition(gbm_model):
