@@ -510,11 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if "--mc" in flags:
             q.add_argument("--mc", action="store_true", help="add Monte Carlo price columns")
         if "--paths" in flags:
-            # no default where --mc exists: main() tells --paths without --mc apart
-            default = None if "--mc" in flags else _MC_PATHS
-            q.add_argument(
-                "--paths", type=int, default=default, help=f"Monte Carlo path count (default {_MC_PATHS})"
-            )
+            q.add_argument("--paths", type=int, help=f"Monte Carlo path count (default {_MC_PATHS})")
     return p
 
 
@@ -524,12 +520,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if not (0 <= args.seed < 2**64):
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
-        if "mc" in args:
-            if args.paths is not None and not args.mc:
-                parser.error(f"{args.command}: --paths needs --mc")
-            args.paths = _MC_PATHS if args.paths is None else args.paths
-        if "paths" in args and args.paths < 1000:
-            raise ConfigError(f"--paths must be at least 1000, got {args.paths}")
+        if "mc" in args and args.paths is not None and not args.mc:
+            parser.error(f"{args.command}: --paths needs --mc")
+        if "paths" in args:
+            if args.paths is None:
+                args.paths = _MC_PATHS
+            elif args.paths < 1000:
+                raise ConfigError(f"--paths must be at least 1000, got {args.paths}")
         if args.command == "bench":
             cfg = load_config(args.config) if args.config else None
         else:

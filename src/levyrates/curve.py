@@ -251,7 +251,9 @@ class KernelEvaluator:
 
     def _offsets(self, lowers: Sequence[float]) -> Dict[float, int]:
         """Node offset of each lower bound, registering the bounds as
-        edges first; cached per bounds tuple until the edges change."""
+        edges first; cached per bounds tuple until the edges change,
+        because a critical-level solve makes about ten passes at the
+        same bounds (t, T) on unchanged panels."""
         key = tuple(lowers)
         offsets = self._offset_cache.get(key)
         if offsets is None:

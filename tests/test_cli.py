@@ -208,10 +208,13 @@ def test_exit_1_missing_command_block(tmp_path):
     assert main(["simulate", "--config", _write(tmp_path, "c.json", doc)]) == 1
 
 
-def test_exit_1_bad_flag_values(tmp_path):
+def test_exit_1_bad_flag_values(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", _model_block())
     assert main(["price", "--config", cfg, "--seed", "-1"]) == 1
-    assert main(["price", "--config", cfg, "--paths", "10"]) == 1
+    for argv in (["price", "--mc", "--paths", "10"], ["validate", "--paths", "10"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", cfg]) == 1
+        assert "--paths must be at least 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
