@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .levy import (
     spawn_stream,
 )
 from .martingales import ExpDecayPhi, ModelState
-from .options import OptionSpec, price_call, price_call_mc
+from .options import MC_PATHS, OptionSpec, price_call, price_call_mc
 from .termstructure import FlatYieldCurve, TermStructure, validate_term_structure
 from .validation import curve_checks, run_validation
 
@@ -484,8 +484,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_MC_PATHS = 100_000  # Monte Carlo draws when --paths is not given
-
 # subcommand -> (handler, help, the flags beyond --config/--seed/--out it reads)
 _COMMANDS = {
     "simulate": (cmd_simulate, "simulate one driver path with bond and short-rate columns (CSV)", ()),
@@ -496,35 +494,42 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     p = _Parser(
         prog="levyrates",
         description="Rational term-structure models driven by exponential Levy martingales",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, help_text, flags) in _COMMANDS.items():
-        q = sub.add_parser(name, help=help_text)
+        q = commands[name] = sub.add_parser(name, help=help_text)
         q.add_argument("--config", help="path to the JSON config")
         q.add_argument("--seed", type=int, default=0, help="random seed (unsigned 64-bit)")
         q.add_argument("--out", help="output file path (default: stdout)")
         if "--mc" in flags:
             q.add_argument("--mc", action="store_true", help="add Monte Carlo price columns")
         if "--paths" in flags:
-            q.add_argument("--paths", type=int, help=f"Monte Carlo path count (default {_MC_PATHS})")
-    return p
+            q.add_argument("--paths", type=int, help=f"Monte Carlo path count (default {MC_PATHS})")
+    return p, commands
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        parser, commands = _build_parser()
+        # argparse hands a subcommand's unknown flags up to the top-level
+        # parser; report them with the subcommand's own usage line
+        args, extra = parser.parse_known_args(argv)
+        usage_error = commands[args.command].error
+        if extra:
+            usage_error(f"unrecognized arguments: {' '.join(extra)}")
         if not (0 <= args.seed < 2**64):
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
         if "mc" in args and args.paths is not None and not args.mc:
-            parser.error(f"{args.command}: --paths needs --mc")
+            usage_error(f"{args.command}: --paths needs --mc")
         if "paths" in args:
             if args.paths is None:
-                args.paths = _MC_PATHS
+                args.paths = MC_PATHS
             elif args.paths < 1000:
                 raise ConfigError(f"--paths must be at least 1000, got {args.paths}")
         if args.command == "bench":

@@ -14,10 +14,22 @@ A KernelEvaluator owns the panelization for one (model, valuation time)
 pair: a sorted edge array and the node data of every panel in
 contiguous, panel-sorted arrays, so an integral from a lower bound is a
 sum from an array offset. Refinement runs the panel core of
-`quadrature`; scalar and batch evaluations share one vectorized routine.
-Panels only ever split, so refinement is monotone and evaluations are
-deterministic for a fixed call sequence; the critical-level solver
-relies on that by freezing the panelization while it brackets.
+`quadrature`. Panels only ever split, so refinement is monotone and
+evaluations are deterministic for a fixed call sequence; the
+critical-level solver relies on that by freezing the panelization while
+it brackets.
+
+The batch entry points (log_integral_batch, phi_average_batch) need no
+panels. On the flat curve rho_s = y exp(-y s), the coordinate
+u = exp(-beta (s - L)) turns an integral from L into
+
+    int_L^inf rho_s M(t, s, xi) ds = P0(L) int_0^1 (y/beta) u^alpha
+                                     M(t, L - ln(u)/beta, xi) du,
+
+with alpha = y/beta - 1. With beta = b for phi_s = c exp(-b s), phi is
+linear in u, so a fixed Gauss-Jacobi rule for the weight u^alpha
+resolves the rest with a few dozen nodes; each batch checks its rule
+against one of half the nodes.
 """
 
 from __future__ import annotations
@@ -31,8 +43,16 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .levy import LevyFamily
-from .martingales import ModelState, PhiFunction, _check_state_support, log_martingale_value
-from .quadrature import W16, dyadic_breakpoints, panel_estimates, panel_nodes, refine_panels, split
+from .martingales import ExpDecayPhi, ModelState, PhiFunction, _check_state_support, log_martingale_value
+from .quadrature import (
+    W16,
+    dyadic_breakpoints,
+    jacobi_rule,
+    panel_estimates,
+    panel_nodes,
+    refine_panels,
+    split,
+)
 from .termstructure import TermStructure
 
 __all__ = [
@@ -63,6 +83,12 @@ _BLOCK_FLOATS = 1 << 17
 def _block_rows(nodes: int) -> int:
     """Draws per block of the batch kernel at this many nodes."""
     return 16 * max(1, _BLOCK_FLOATS // (16 * nodes))
+
+
+# Gauss-Jacobi rule of the batch kernel: _RULE_NODES nodes per bound,
+# checked against half as many and doubled up to _RULE_MAX_NODES.
+_RULE_NODES = 24
+_RULE_MAX_NODES = 384
 
 
 @dataclass(frozen=True)
@@ -124,6 +150,15 @@ class RateModel:
     @property
     def s_max(self) -> float:
         return self.ts.truncation_horizon(self.quad.tail_epsilon)
+
+    @property
+    def rule_rate(self) -> float:
+        """beta of the batch kernel's coordinate u = exp(-beta (s - L)):
+        the tilt's decay rate b for ExpDecayPhi with b > 0, which makes phi
+        linear in u; the flat yield y for a bump or constant tilt."""
+        if isinstance(self.phi, ExpDecayPhi) and self.phi.b > 0.0:
+            return self.phi.b
+        return self.ts.y
 
     def evaluator(self, t: float) -> "KernelEvaluator":
         """Panelization cache, keyed by valuation time (small LRU)."""
@@ -364,22 +399,131 @@ class KernelEvaluator:
             for p in probes:
                 self.refine(float(p), L)
 
+    # -- batch kernel: Gauss-Jacobi rule in u = exp(-beta (s - L)) -----------
+
+    def _rule_data(self, bounds: Sequence[float], n: int):
+        """Node data of the n-point rule from every bound and from S_max.
+
+        Returns (phi, log(P0(L) w_i) - t psi(phi)) at the nodes of each
+        bound, then of S_max, and the (nodes x bounds) matrix that sums
+        a bound's nodes minus the S_max nodes, which truncates every
+        integral at S_max. A bound at or beyond S_max sums nothing.
+        """
+        model = self.model
+        beta = model.rule_rate
+        log_u, log_w = jacobi_rule(n, model.ts.y / beta - 1.0)
+        starts = np.array([min(max(L, self.t), self.S) for L in bounds] + [self.S])
+        s = (starts[:, None] - log_u / beta).ravel()
+        phi = np.asarray(model.phi(s), dtype=float)
+        model.fam.require_admissible(phi)
+        psi = np.asarray(model.fam._exponent_impl(phi), dtype=float)
+        log_p0 = np.log(np.asarray(model.ts.discount_factor(starts), dtype=float))
+        base = (log_p0[:, None] + log_w).ravel() - self.t * psi
+        W = np.zeros((len(bounds), s.size))
+        for j in range(len(bounds)):
+            if starts[j] < self.S:
+                W[j, j * n : (j + 1) * n] = 1.0
+                W[j, -n:] = -1.0
+        return phi, base, W
+
+    def _rule_integrals(self, xi: np.ndarray, bounds: Sequence[float], phi_average: bool, n: int):
+        """log int_L^S rho M per xi and bound L on the n-point rule; with
+        phi_average, the pair (log integral, phi average over [L, S]).
+
+        The buffer holds nodes x draws, so the per-draw max shift reduces
+        and subtracts along contiguous rows. The draws run in blocks of
+        _BLOCK_FLOATS floats, each filled in place, and a partial block is
+        padded with zeros to a multiple of 16 draws: the BLAS product sums
+        a draw's column the same way at any such width, so each draw gets
+        the same value in any batch, one-draw batches included.
+        """
+        phi, base, W = self._rule_data(bounds, n)
+        k, nodes = len(bounds), phi.size
+        if phi_average:
+            W = np.vstack([W, W * phi])
+        base = base[:, None]
+        out = np.empty((k, xi.size))
+        avg = np.empty((k, xi.size)) if phi_average else None
+        rows = _block_rows(nodes)
+        buf = np.empty(nodes * min(rows, -(-xi.size // 16) * 16))
+        for i0 in range(0, xi.size, rows):
+            x = xi[i0 : i0 + rows]
+            m, cols = x.size, slice(i0, i0 + x.size)
+            if m % 16:
+                x = np.concatenate([x, np.zeros(-m % 16)])
+            M = buf[: nodes * x.size].reshape(nodes, x.size)
+            np.einsum("j,i->ji", phi, x, out=M)
+            M += base
+            shift = M.max(axis=0)
+            M -= shift
+            np.exp(M, out=M)
+            V = W @ M
+            with np.errstate(divide="ignore", invalid="ignore"):  # a vanished integral
+                np.log(V[:k, :m], out=out[:, cols])
+                out[:, cols] += shift[:m]
+                if phi_average:
+                    np.divide(V[k:, :m], V[:k, :m], out=avg[:, cols])
+        if phi_average:
+            return {L: (out[j], avg[j]) for j, L in enumerate(bounds)}
+        return {L: out[j] for j, L in enumerate(bounds)}
+
+    def _rule_nodes(self, xi: np.ndarray, bounds: Sequence[float], phi_average: bool) -> int:
+        """Nodes per bound for this batch: the first n from _RULE_NODES on,
+        doubling, at which n and n/2 nodes agree to rel_tol in every log
+        integral (and phi average, when asked for) at the batch's minimum,
+        median and maximum draw. Raises QuadratureError past
+        _RULE_MAX_NODES.
+        """
+        if xi.size == 0:
+            return _RULE_NODES
+        probes = np.array([xi.min(), np.median(xi), xi.max()])
+        tol = self.model.quad.rel_tol
+
+        def values(n):
+            got = self._rule_integrals(probes, bounds, phi_average, n)
+            return np.array([np.concatenate(v) if phi_average else v for v in got.values()])
+
+        n, coarse = _RULE_NODES, values(_RULE_NODES // 2)
+        while True:
+            fine = values(n)
+            # a bound at or past S_max gives -inf (and a nan average) on both
+            ok = np.isclose(fine, coarse, rtol=0.0, atol=tol, equal_nan=True)
+            if ok.all():
+                return n
+            if 2 * n > _RULE_MAX_NODES:
+                j, i = np.argwhere(~ok)[0]
+                gap = abs(fine[j, i] - coarse[j, i])
+                raise QuadratureError(
+                    f"kernel rule (t={self.t}, bounds={list(bounds)}, xi={probes[i % 3]}): "
+                    f"{n} and {n // 2} nodes differ by {gap:.3e}, above rel_tol {tol:g}",
+                    rel_err=float(gap),
+                )
+            n, coarse = 2 * n, fine
+
+    def _batch(self, xi, lowers: Sequence[float], phi_average: bool) -> dict:
+        xi = np.asarray(xi, dtype=float)
+        bounds = list(dict.fromkeys(float(L) for L in lowers))
+        n = self._rule_nodes(xi, bounds, phi_average)
+        return self._rule_integrals(xi, bounds, phi_average, n)
+
     def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """log kernel integrals for an array of xi at several lower bounds.
 
-        Panels are used as-is: call prepare() with representative probe
-        xi values first; the 16-point rule on panels refined to rel_tol
-        leaves bias far below Monte Carlo resolution. Every xi gets its
-        exact kernel value. The draws run through blocks of about 1 MiB
+        Runs the Gauss-Jacobi rule of the module docstring, not the panels,
+        so no prepare() is needed; the same rule from S_max is subtracted.
+        The rule starts at 24 nodes per bound and doubles while n and n/2
+        nodes differ by more than rel_tol at the batch's smallest, median
+        or largest draw (QuadratureError past 384). Every xi gets its exact
+        kernel value on that rule. The draws run through blocks of about 1 MiB
         (_BLOCK_FLOATS), so the memory a call needs beyond its output
         arrays does not grow with the batch.
         """
-        return self._integrals(np.asarray(xi, dtype=float), lowers, False)
+        return self._batch(xi, lowers, False)
 
     def phi_average_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
-        """Phi_tT for an array of xi at several lower bounds T."""
-        pairs = self._integrals(np.asarray(xi, dtype=float), lowers, True)
-        return {L: avg for L, (_, avg) in pairs.items()}
+        """Phi_tT for an array of xi at several lower bounds T, on the rule
+        of log_integral_batch; its check covers the phi averages too."""
+        return {L: avg for L, (_, avg) in self._batch(xi, lowers, True).items()}
 
 
 # -- public operations ------------------------------------------------------

@@ -66,6 +66,8 @@ _XTOL, _RTOL = 1e-14, 8.9e-16
 _MAX_STEPS = 200
 # the JD Poisson series stops where the Poisson tail falls below this
 _JD_SERIES_TAIL = 1e-12
+# Monte Carlo draws when a caller gives no count (the CLI and validation)
+MC_PATHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -395,8 +397,8 @@ def price_call_mc(
     """Unbiased Monte Carlo price and its standard error.
 
     Draws the driver at expiry exactly, evaluates the kernel payoff
-    (int_T rho M - K int_t rho M)+ per draw on a shared panelization, and
-    averages. Works for any phi, monotone or not.
+    (int_T rho M - K int_t rho M)+ per draw on the batch kernel's rule,
+    and averages. Works for any phi, monotone or not.
     """
     if paths < 1000:
         raise DomainError(f"need at least 1000 paths for a meaningful error bar, got {paths}")
@@ -405,13 +407,13 @@ def price_call_mc(
         price = max(float(model.ts.discount_factor(T)) - K, 0.0)
         return price, 0.0
     xi = np.asarray(model.fam.sample_increment(t, rng, paths), dtype=float)
-    ev = model.evaluator(t)
-    probes = [float(xi.min()), float(np.median(xi)), float(xi.max())]
-    ev.prepare(probes, [t, T] if T > t else [t])
-    logs = ev.log_integral_batch(xi, [t, T] if T > t else [t])
-    k_T = np.exp(logs[float(T)]) if T > t else np.exp(logs[float(t)])
-    k_t = np.exp(logs[float(t)])
-    payoff = np.maximum(k_T - K * k_t, 0.0)
+    logs = model.evaluator(t).log_integral_batch(xi, [t, T] if T > t else [t])
+    del xi
+    # in place: arrays of one float per draw are the bulk of this call's memory
+    k_t = np.exp(logs[float(t)], out=logs[float(t)])
+    k_T = np.exp(logs[float(T)], out=logs[float(T)]) if T > t else k_t.copy()
+    k_t *= K
+    payoff = np.maximum(np.subtract(k_T, k_t, out=k_T), 0.0, out=k_T)
     mean = float(payoff.mean())
     se = float(payoff.std(ddof=1) / math.sqrt(paths))
     return mean, se

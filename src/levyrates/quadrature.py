@@ -20,13 +20,14 @@ long interval can otherwise fool any sampled rule into a false zero.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["gauss_legendre_nodes", "adaptive_integrate"]
+__all__ = ["gauss_legendre_nodes", "jacobi_rule", "adaptive_integrate"]
 
 _RULE_CACHE: dict = {}
 
@@ -36,6 +37,57 @@ def gauss_legendre_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
     if order not in _RULE_CACHE:
         _RULE_CACHE[order] = np.polynomial.legendre.leggauss(order)
     return _RULE_CACHE[order]
+
+
+def _jacobi_recurrence(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """(p_n(x), p_n'(x), sum of p_k(x)^2 for k < n) for the orthonormal
+    polynomials of the recurrence off_k p_{k+1} = (x - diag_k) p_k - off_{k-1} p_{k-1},
+    up to one common factor."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    total = np.ones_like(x)
+    for k in range(len(diag)):
+        back = off[k - 1] if k else 0.0
+        p_prev, p, d_prev, d = (
+            p,
+            ((x - diag[k]) * p - back * p_prev) / off[k],
+            d,
+            ((x - diag[k]) * d + p - back * d_prev) / off[k],
+        )
+        if k < len(diag) - 1:
+            total += p * p
+    return p, d, total
+
+
+def jacobi_rule(n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(ln u_i, ln w_i) of the n-point Gauss rule for the weight u^alpha
+    on (0, 1], alpha > -1, with the weights normalised to sum 1; cached.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the weight (1 + x)^alpha on [-1, 1], mapped
+    by u = (1 + x)/2 and polished by one Newton step on the recurrence.
+    The weights are the Christoffel numbers 1 / sum_k p_k(x_i)^2 of the
+    orthonormal polynomials, which keep their digits where eigenvector
+    components lose them. A node whose sum overflows has a weight below
+    the float range, and ln w = -inf.
+    """
+    key = (n, alpha)
+    if key not in _RULE_CACHE:
+        k = np.arange(1, n + 1, dtype=float)
+        s = 2.0 * k + alpha
+        diag = np.concatenate([[alpha / (alpha + 2.0)], alpha * alpha / (s[:-1] * (s[:-1] + 2.0))])
+        off = 2.0 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            p, dp, _ = _jacobi_recurrence(x, diag, off)
+            step = p / dp
+            x = np.where(np.isfinite(step), x - step, x)
+            log_w = -np.log(_jacobi_recurrence(x, diag, off)[2])
+        log_w -= math.log(float(np.sum(np.exp(log_w))))
+        # near u = 1, log1p keeps ln u free of the rounding in (1 + x)/2
+        log_u = np.where(x < 0.0, np.log(0.5 * (1.0 + x)), np.log1p(0.5 * (x - 1.0)))
+        _RULE_CACHE[key] = (log_u, log_w)
+    return _RULE_CACHE[key]
 
 
 _X16, W16 = gauss_legendre_nodes(16)

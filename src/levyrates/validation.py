@@ -29,7 +29,7 @@ from .errors import (
 )
 from .levy import GammaFamily, spawn_stream
 from .martingales import ModelState
-from .options import OptionSpec, price_call, price_call_mc, solve_critical_level
+from .options import MC_PATHS, OptionSpec, price_call, price_call_mc, solve_critical_level
 from .termstructure import CurveReport, validate_term_structure
 
 __all__ = ["CheckResult", "ValidationReport", "curve_checks", "run_validation"]
@@ -78,9 +78,7 @@ def _sample_states(model: RateModel, t: float, n: int, rng) -> np.ndarray:
     return np.asarray(model.fam.sample_increment(t, rng, n), dtype=float)
 
 
-def run_validation(
-    model: RateModel, seed: int = 0, paths: int = 150_000
-) -> ValidationReport:
+def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> ValidationReport:
     """Run the full invariant suite against one model.
 
     Deterministic given (model, seed, paths). Roughly: the initial curve's
@@ -97,9 +95,7 @@ def run_validation(
 
     # E[kernel(t, t)] = P0(t) within Monte Carlo resolution
     xi = _sample_states(model, t, paths, rng)
-    ev = model.evaluator(t)
-    ev.prepare([float(xi.min()), float(np.median(xi)), float(xi.max())], [t])
-    k_vals = np.exp(ev.log_integral_batch(xi, [t])[t])
+    k_vals = np.exp(model.evaluator(t).log_integral_batch(xi, [t])[t])
     p0 = float(model.ts.discount_factor(t))
     se = float(k_vals.std(ddof=1) / math.sqrt(paths))
     gap = abs(float(k_vals.mean()) - p0)

@@ -242,6 +242,37 @@ def test_exit_1_usage_error(argv, capsys):
     assert "usage: levyrates" in err and "config error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["simulate", "--config", FIG1, "--mc"], id="simulate-mc"),
+        pytest.param(["bench", "--paths", "5000"], id="bench-paths"),
+        pytest.param(["price", "--config", FIG1, "--paths", "5000"], id="price-paths-without-mc"),
+    ],
+)
+def test_usage_error_shows_the_subcommand_usage(argv, capsys):
+    # the usage line must list what the subcommand takes, not the
+    # top-level list of subcommands
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage: levyrates {argv[0]} [-h] [--config CONFIG]" in err
+    assert "{simulate," not in err
+
+
+def test_mc_path_defaults_agree(capsys):
+    # one default draw count for the CLI and the library's validation suite
+    import inspect
+
+    from levyrates.options import MC_PATHS
+    from levyrates.validation import run_validation
+
+    assert inspect.signature(run_validation).parameters["paths"].default == MC_PATHS
+    for command in ("price", "surface", "validate"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"(default {MC_PATHS})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--help"])

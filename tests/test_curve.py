@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import levyrates as lr
 from levyrates import DomainError, ModelState
-from levyrates.curve import _block_rows, kernel_integral
+from levyrates.curve import _RULE_NODES, _block_rows, kernel_integral
+from levyrates.quadrature import jacobi_rule
 
 STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=-0.8), ModelState(t=3.0, xi=1.5)]
 GAMMA_STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=0.0), ModelState(t=3.0, xi=1.5)]
@@ -196,25 +197,165 @@ def test_batch_matches_scalar_integrals(vg_model):
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
 def test_batch_across_block_boundaries(name, all_figure_models):
-    # two full blocks and a partial one: every block must give each draw
-    # what the one-draw pass gives it, in both modes of the batch kernel
+    # two full blocks of the batch rule and a partial one: every block must
+    # give each draw what the rule's one-draw pass gives it, in both modes;
+    # the panel pass (several blocks here) must match its own one-draw pass
     model = all_figure_models[name]
     t, lowers = 1.0, [1.0, 4.0]
     ev = model.evaluator(t)
     draws = model.fam.sample_increment(t, np.random.default_rng(11), size=4000)
     ev.prepare([float(draws.min()), float(np.median(draws)), float(draws.max())], lowers)
-    xi = draws[: 2 * _block_rows(ev._base16.size) + 7]
-    assert xi.size == 2 * _block_rows(ev._base16.size) + 7
+    rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
+    xi = draws[: 2 * rows + 7]
+    assert xi.size == 2 * rows + 7
+    n_log = ev._rule_nodes(xi, lowers, False)
+    n_avg = ev._rule_nodes(xi, lowers, True)
     logs = ev.log_integral_batch(xi, lowers)
     pairs = ev._integrals(xi, lowers, True)
     avgs = ev.phi_average_batch(xi, lowers)
+    one_log = [ev._rule_integrals(np.array([x]), lowers, False, n_log) for x in xi]
+    one_avg = [ev._rule_integrals(np.array([x]), lowers, True, n_avg) for x in xi]
     for L in lowers:
         scalar_log = np.array([ev.log_integral(float(x), L) for x in xi])
         scalar_avg = np.array([ev.weighted_ratio(float(x), L) for x in xi])
-        assert np.max(np.abs(logs[L] - scalar_log)) <= 1e-15
+        assert np.max(np.abs(logs[L] - np.concatenate([v[L] for v in one_log]))) <= 1e-15
+        np.testing.assert_allclose(
+            avgs[L], np.concatenate([v[L][1] for v in one_avg]), rtol=1e-13, atol=0.0
+        )
+        assert np.max(np.abs(logs[L] - scalar_log)) <= 1e-13
+        np.testing.assert_allclose(avgs[L], scalar_avg, rtol=1e-12, atol=0.0)
         assert np.max(np.abs(pairs[L][0] - scalar_log)) <= 1e-15
         np.testing.assert_allclose(pairs[L][1], scalar_avg, rtol=1e-13, atol=0.0)
-        np.testing.assert_array_equal(avgs[L], pairs[L][1])
+
+
+# -- batch rule against an mpmath oracle ----------------------------------------
+
+
+def _mp_phi(phi, s):
+    import mpmath
+
+    if isinstance(phi, lr.ExpDecayPhi):
+        return phi.c * mpmath.exp(-phi.b * s)
+    return phi.height * mpmath.exp(-phi.width * (s - phi.center) ** 2)
+
+
+def _mp_psi(fam, a):
+    """The family's Laplace exponent, from its closed form, in mpmath."""
+    import mpmath
+
+    if isinstance(fam, lr.BrownianFamily):
+        return a * a / 2
+    if isinstance(fam, lr.JumpDiffusionFamily):
+        return a * a / 2 + fam.lam * (mpmath.exp(a * fam.mu + a * a * fam.delta**2 / 2) - 1)
+    if isinstance(fam, lr.GammaFamily):
+        return -fam.m * mpmath.log(1 - fam.kappa * a)
+    return -fam.m * mpmath.log(1 - (fam.mu / fam.m) * a - fam.sigma**2 / (2 * fam.m) * a * a)
+
+
+def mp_log_kernel(model, t, xi, lower):
+    """log int_lower^S_max rho_s M(t, s, xi) ds by mpmath.quad at 30 digits,
+    on the flat curve, written against the closed forms only."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        y, S = mpmath.mpf(model.ts.y), mpmath.mpf(model.s_max)
+
+        def f(s):
+            phi = _mp_phi(model.phi, s)
+            return y * mpmath.exp(-y * s + phi * xi - t * _mp_psi(model.fam, phi))
+
+        pts = [mpmath.mpf(lower)] + [lower + d for d in 2.0 ** np.arange(-2, 12) if lower + d < model.s_max]
+        return float(mpmath.log(mpmath.quad(f, pts + [S])))
+
+
+def _bench_model(name):
+    fam = {
+        "gbm": lr.BrownianFamily(),
+        "jd": lr.JumpDiffusionFamily(lam=5.0, mu=0.0, delta=1.0),
+        "gamma": lr.GammaFamily(m=1.0, kappa=0.5),
+        "vg": lr.VarianceGammaFamily(mu=0.02, sigma=0.3, m=20.0),
+    }[name]
+    phi = lr.ExpDecayPhi(c=-1.0 if name == "gamma" else 1.0, b=0.02)
+    return lr.RateModel(ts=lr.FlatYieldCurve(y=0.03), fam=fam, phi=phi)
+
+
+def _check_rule_against_mpmath(model, t, xi, lowers, tol):
+    logs = model.evaluator(t).log_integral_batch(xi, lowers)
+    for L in lowers:
+        for i, x in enumerate(xi):
+            assert abs(logs[L][i] - mp_log_kernel(model, t, float(x), L)) <= tol, (t, L, x)
+
+
+@pytest.mark.parametrize("kind", ["figure", "bench"])
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_batch_rule_matches_mpmath(kind, name, t, all_figure_models):
+    # 24 Gauss-Jacobi nodes per bound resolve log K at the extremes of
+    # 10^4 exact draws, on the truncated range [L, S_max]
+    model = all_figure_models[name] if kind == "figure" else _bench_model(name)
+    draws = model.fam.sample_increment(t, np.random.default_rng(23), size=10_000)
+    xi = np.array([draws.min(), draws.max()])
+    assert model.evaluator(t)._rule_nodes(xi, [t, t + 2.0], False) == _RULE_NODES
+    _check_rule_against_mpmath(model, t, xi, [t, t + 2.0], 2e-14)
+
+
+def test_batch_rule_doubles_for_a_bump_tilt(flat2):
+    # a Gaussian bump is not linear in any exponential coordinate, so the
+    # rule runs in u = P0(s)/P0(L) and needs more than 24 nodes
+    model = lr.RateModel(
+        ts=flat2, fam=lr.BrownianFamily(), phi=lr.GaussianBumpPhi(height=0.3, center=2.0, width=0.5)
+    )
+    assert model.rule_rate == flat2.y
+    t, lowers = 1.0, [1.0, 3.0]
+    xi = model.fam.sample_increment(t, np.random.default_rng(3), size=10_000)
+    assert model.evaluator(t)._rule_nodes(xi, lowers, False) > _RULE_NODES
+    _check_rule_against_mpmath(model, t, np.array([xi.min(), xi.max()]), lowers, 2e-14)
+
+
+def test_batch_rule_at_a_slowly_decaying_tilt(flat3):
+    # y/b = 2000: the Jacobi exponent y/b - 1 = 1999 packs the nodes within
+    # a few thousandths of u = 1, and 24 of them still meet the oracle
+    model = lr.RateModel(ts=flat3, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.03 / 2000))
+    assert model.rule_rate == model.phi.b
+    t, lowers = 1.0, [1.0, 3.0]
+    xi = model.fam.sample_increment(t, np.random.default_rng(4), size=10_000)
+    xi = np.array([xi.min(), xi.max()])
+    assert model.evaluator(t)._rule_nodes(xi, lowers, False) == _RULE_NODES
+    _check_rule_against_mpmath(model, t, xi, lowers, 2e-14)
+
+
+def test_batch_rule_error_names_the_state(flat2):
+    # a tolerance below rounding: n and n/2 nodes never agree, and the
+    # error must say which valuation time, bounds and draw failed
+    model = lr.RateModel(
+        ts=flat2,
+        fam=lr.BrownianFamily(),
+        phi=lr.ExpDecayPhi(c=0.3, b=0.02),
+        quad=lr.QuadratureSettings(rel_tol=1e-17),
+    )
+    with pytest.raises(lr.QuadratureError, match=r"t=1\.0, bounds=\[1\.0, 3\.0\], xi=") as exc_info:
+        model.evaluator(1.0).log_integral_batch(np.array([-0.5, 0.1, 0.7]), [1.0, 3.0])
+    assert exc_info.value.rel_err > 1e-17
+
+
+def test_jacobi_rule_matches_mpmath():
+    # nodes and weights against mpmath's Gauss-Jacobi rule at 40 digits for
+    # the weight (1 + x)^alpha on [-1, 1], mapped to (0, 1]; at alpha = 1999
+    # the nodes crowd near u = 1 with absolute precision, and the weights
+    # there keep about 12 digits (the kernel oracle at y/b = 2000 shows
+    # the sums stay at rounding level)
+    import mpmath
+
+    for alpha in (-0.97, 0.5, 1999.0):
+        for n in (24, 96):
+            log_u, log_w = jacobi_rule(n, alpha)
+            with mpmath.workdps(40):
+                x, w = mpmath.mp.gauss_quadrature(n, "jacobi", 0, alpha)
+                total = mpmath.fsum(w)
+                ref = sorted((float((1 + xi) / 2), float(wi / total)) for xi, wi in zip(x, w))
+            ref_u, ref_w = np.array(ref).T
+            assert np.max(np.abs(np.exp(log_u) - ref_u)) <= 4e-16, (alpha, n)
+            assert np.sum(np.abs(np.exp(log_w) - ref_w)) <= 5e-13, (alpha, n)
 
 
 def test_batch_of_no_draws_is_empty(vg_model):

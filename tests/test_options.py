@@ -145,6 +145,21 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
+def test_mc_price_leaves_scipy_linalg_out():
+    # the batch kernel builds its Gauss-Jacobi rule with numpy alone;
+    # scipy.linalg would add about 6 MB of resident libraries to a run
+    code = (
+        "import sys, numpy as np, levyrates as lr; "
+        "m = lr.RateModel(ts=lr.FlatYieldCurve(y=0.03), fam=lr.BrownianFamily(), "
+        "phi=lr.ExpDecayPhi(c=1.0, b=0.02)); "
+        "lr.price_call_mc(m, lr.OptionSpec(1.0, 3.0, 0.95), 1000, np.random.default_rng(0)); "
+        "print('scipy.linalg' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lr.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # -- in-the-money weights: unit-mass limits from E[M] = 1 ----------------------
 
 
