@@ -15,13 +15,7 @@ from .errors import (
     StrikeOutOfRangeError,
     UnsupportedModelError,
 )
-from .termstructure import (
-    FlatYieldCurve,
-    TermStructure,
-    CurveCheck,
-    CurveReport,
-    validate_term_structure,
-)
+from .termstructure import FlatYieldCurve
 from .levy import (
     BrownianFamily,
     GammaFamily,
@@ -63,7 +57,7 @@ from .options import (
     price_call_mc,
     solve_critical_level,
 )
-from .validation import CheckResult, ValidationReport, run_validation
+from .validation import CheckResult, ValidationReport, run_validation, validate_term_structure
 
 __version__ = "0.1.0"
 
@@ -75,11 +69,7 @@ __all__ = [
     "QuadratureError",
     "StrikeOutOfRangeError",
     "UnsupportedModelError",
-    "TermStructure",
     "FlatYieldCurve",
-    "CurveCheck",
-    "CurveReport",
-    "validate_term_structure",
     "LevyFamily",
     "BrownianFamily",
     "JumpDiffusionFamily",
@@ -116,5 +106,6 @@ __all__ = [
     "price_call_mc",
     "CheckResult",
     "ValidationReport",
+    "validate_term_structure",
     "run_validation",
 ]

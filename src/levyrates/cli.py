@@ -43,8 +43,8 @@ from .levy import (
 )
 from .martingales import ExpDecayPhi, ModelState
 from .options import MC_PATHS, OptionSpec, price_call, price_call_mc
-from .termstructure import FlatYieldCurve, TermStructure, validate_term_structure
-from .validation import curve_checks, run_validation
+from .termstructure import FlatYieldCurve
+from .validation import run_validation, validate_term_structure
 
 __all__ = [
     "main",
@@ -126,7 +126,7 @@ def _build(cls, where: str, **kwargs):
         raise ConfigError(f"bad {where} parameter: {exc}") from exc
 
 
-def curve_from_config(cfg) -> TermStructure:
+def curve_from_config(cfg) -> FlatYieldCurve:
     if not isinstance(cfg, dict) or "form" not in cfg:
         raise ConfigError("curve config needs a 'form' tag, e.g. {\"form\": \"flat\", \"yield\": 0.02}")
     if str(cfg["form"]).lower() != "flat":
@@ -358,23 +358,19 @@ def cmd_validate(cfg: dict, seed: int, out: Optional[str], args) -> int:
         raise ConfigError("config is missing the 'curve' block")
     ts = curve_from_config(cfg["curve"])
     quad = quadrature_from_config(cfg.get("quadrature"))
+    header = [
+        "# levyrates validate: model invariant suite",
+        f"# config_hash={config_hash(cfg, seed)} seed={seed}",
+    ]
     curve_report = validate_term_structure(ts, quad.tail_epsilon)
     if not curve_report.passed:
-        lines = [
-            "# levyrates validate: model invariant suite",
-            f"# config_hash={config_hash(cfg, seed)} seed={seed}",
-        ]
-        lines += [c.line() for c in curve_checks(curve_report)]
+        lines = [c.line() for c in curve_report.checks]
         lines.append("FAILED: the initial curve violates its contract; model checks skipped")
-        _write_lines(out, lines)
+        _write_lines(out, header + lines)
         return 3
     model = model_from_config(cfg)
     report = run_validation(model, seed=seed, paths=args.paths)
-    lines = [
-        "# levyrates validate: model invariant suite",
-        f"# config_hash={config_hash(cfg, seed)} seed={seed}",
-    ] + report.lines()
-    _write_lines(out, lines)
+    _write_lines(out, header + report.lines())
     if out is not None:
         sys.stdout.write(("OK" if report.passed else "FAILED") + f": report written to {out}\n")
     return 0 if report.passed else 3

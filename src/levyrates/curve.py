@@ -41,7 +41,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, QuadratureError
+from .errors import DomainError, NumericalError, QuadratureError, UnsupportedModelError
 from .levy import LevyFamily
 from .martingales import ExpDecayPhi, ModelState, PhiFunction, _check_state_support, log_martingale_value
 from .quadrature import (
@@ -53,7 +53,7 @@ from .quadrature import (
     refine_panels,
     split,
 )
-from .termstructure import TermStructure
+from .termstructure import FlatYieldCurve
 
 __all__ = [
     "QuadratureSettings",
@@ -129,11 +129,12 @@ class RateModel:
     """A rational term-structure model: initial curve, driver, tilt.
 
     The triple (rho, family, phi) determines every price in the model.
-    Construction validates that phi stays inside the family's exponent
-    domain across [0, S_max] and that the curve decays.
+    Construction validates that the curve is a FlatYieldCurve (the batch
+    kernel's rule is built for its density), that it decays, and that phi
+    stays inside the family's exponent domain across [0, S_max].
     """
 
-    ts: TermStructure
+    ts: FlatYieldCurve
     fam: LevyFamily
     phi: PhiFunction
     quad: QuadratureSettings = field(default_factory=QuadratureSettings)
@@ -142,6 +143,10 @@ class RateModel:
     )
 
     def __post_init__(self):
+        if not isinstance(self.ts, FlatYieldCurve):
+            raise UnsupportedModelError(
+                f"the initial curve must be a FlatYieldCurve, got {type(self.ts).__name__}"
+            )
         S = self.s_max  # raises DomainError for curves that never decay
         lo, hi = self.phi.range_bounds(S)
         self.fam.require_admissible(lo)
@@ -522,7 +527,12 @@ class KernelEvaluator:
 
     def phi_average_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """Phi_tT for an array of xi at several lower bounds T, on the rule
-        of log_integral_batch; its check covers the phi averages too."""
+        of log_integral_batch; its check covers the phi averages too.
+        A bound at or beyond S_max has no mass to average over and raises
+        DomainError, as weighted_ratio does."""
+        for L in lowers:
+            if L >= self.S:
+                raise DomainError(f"no mass beyond lower={L}")
         return {L: avg for L, (_, avg) in self._batch(xi, lowers, True).items()}
 
 

@@ -254,7 +254,9 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
 # -- family-specific in-the-money weights -----------------------------------
 
 
-def _itm_weight_lower(model: RateModel, t: float, xi_star: float, s: np.ndarray, opts) -> np.ndarray:
+def _itm_weight_lower(
+    model: RateModel, t: float, xi_star: float, s: np.ndarray, jd_n_max: Optional[int]
+) -> np.ndarray:
     """G(s) = E[1{X_t < xi*} M_ts], vectorized over maturities s."""
     fam = model.fam
     phi_s = np.asarray(model.phi(s), dtype=float)
@@ -262,7 +264,7 @@ def _itm_weight_lower(model: RateModel, t: float, xi_star: float, s: np.ndarray,
         rt = math.sqrt(t)
         return ndtr(xi_star / rt - phi_s * rt)
     if isinstance(fam, JumpDiffusionFamily):
-        return _jd_weight_lower(fam, t, xi_star, phi_s, opts)
+        return _jd_weight_lower(fam, t, xi_star, phi_s, jd_n_max)
     if isinstance(fam, GammaFamily):
         # driver support is [0, inf): a non-positive critical level leaves
         # nothing below it
@@ -280,7 +282,7 @@ def _itm_weight_lower(model: RateModel, t: float, xi_star: float, s: np.ndarray,
 
 
 def _jd_weight_lower(
-    fam: JumpDiffusionFamily, t: float, xi_star: float, phi_s: np.ndarray, opts
+    fam: JumpDiffusionFamily, t: float, xi_star: float, phi_s: np.ndarray, jd_n_max: Optional[int]
 ) -> np.ndarray:
     """Poisson mixture of normal CDFs under the Esscher-tilted intensity.
 
@@ -288,13 +290,14 @@ def _jd_weight_lower(
     delta^2 / 2). The plus sign in front of the delta^2 term is pinned by
     the Monte Carlo oracle in the test suite: with mu = 0 the two sign
     choices differ by a factor exp(phi^2 delta^2), far outside MC noise,
-    and only the plus sign matches.
+    and only the plus sign matches. jd_n_max, when given, is the series
+    length; otherwise the series runs until its Poisson tail is below
+    _JD_SERIES_TAIL.
     """
     lam_t = t * fam.lam * np.exp(phi_s * fam.mu + 0.5 * phi_s * phi_s * fam.delta**2)
-    n_max = opts.get("jd_n_max")
-    if n_max is None:
-        n_max = _poisson_cutoff(float(np.max(lam_t)), _JD_SERIES_TAIL)
-    n = np.arange(n_max + 1, dtype=float)
+    if jd_n_max is None:
+        jd_n_max = _poisson_cutoff(float(np.max(lam_t)), _JD_SERIES_TAIL)
+    n = np.arange(jd_n_max + 1, dtype=float)
     v_n = np.sqrt(t + n * fam.delta**2)
     with np.errstate(divide="ignore"):
         log_w = n[None, :] * np.log(lam_t[:, None]) - lam_t[:, None] - gammaln(n + 1.0)[None, :]
@@ -357,11 +360,10 @@ def price_call(
             return CallPrice(price=0.0, status="always_otm")
         raise
 
-    opts = {"jd_n_max": jd_n_max}
     orient = _orientation(model)
 
     def weight(s: np.ndarray) -> np.ndarray:
-        g = _itm_weight_lower(model, t, crit.xi_star, s, opts)
+        g = _itm_weight_lower(model, t, crit.xi_star, s, jd_n_max)
         return g if orient == "lower" else 1.0 - g
 
     rho = model.ts.density

@@ -23,6 +23,7 @@ from .curve import (
     short_rate,
 )
 from .errors import (
+    DomainError,
     NumericalError,
     StrikeOutOfRangeError,
     UnsupportedModelError,
@@ -30,9 +31,10 @@ from .errors import (
 from .levy import GammaFamily, spawn_stream
 from .martingales import ModelState
 from .options import MC_PATHS, OptionSpec, price_call, price_call_mc, solve_critical_level
-from .termstructure import CurveReport, validate_term_structure
+from .quadrature import adaptive_integrate
+from .termstructure import FlatYieldCurve
 
-__all__ = ["CheckResult", "ValidationReport", "curve_checks", "run_validation"]
+__all__ = ["CheckResult", "ValidationReport", "validate_term_structure", "run_validation"]
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,56 @@ class ValidationReport:
         return out
 
 
-def curve_checks(report: CurveReport) -> List[CheckResult]:
-    """The initial curve's contract checks, named curve_*, each with its bound."""
-    return [
-        CheckResult(name=f"curve_{c.name}", passed=c.passed, measured=c.worst, bound=c.bound, detail=c.detail)
-        for c in report.checks
-    ]
+def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> ValidationReport:
+    """The initial curve's contract, as checks named curve_*.
+
+    On a logarithmic grid out to the horizon: P0(0) = 1, strict
+    decrease, decay to epsilon, positive density, unit total rho-mass,
+    and agreement of rho with a central difference of P0 to 1e-6
+    relative. Failures are reported, not raised.
+    """
+    checks: List[CheckResult] = []
+
+    def check(name, passed, measured, bound):
+        checks.append(CheckResult(f"curve_{name}", bool(passed), float(measured), bound))
+
+    try:
+        S = ts.truncation_horizon(epsilon)
+        has_horizon = True
+    except DomainError:
+        S = 100.0  # fallback grid for curves that never decay
+        has_horizon = False
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, S, 200)])
+    P = np.asarray(ts.discount_factor(grid), dtype=float)
+    rho = np.asarray(ts.density(grid), dtype=float)
+
+    check("unit_at_zero", abs(P[0] - 1.0) < 1e-12, P[0] - 1.0, 1e-12)
+
+    dP = np.diff(P)
+    check("strictly_decreasing", np.all(dP < 0.0), dP.max() if dP.size else 0.0, 0.0)
+
+    floor = epsilon * P[0] * (1.0 + 1e-9)
+    check("decays_to_zero", has_horizon and P[-1] <= floor, P[-1], floor)
+
+    check("density_positive", np.all(rho > 0.0), rho.min(), 0.0)
+
+    if has_horizon and np.all(rho > 0.0):
+        # total mass: integral of rho over [0, S] must equal P0(0) - P0(S)
+        mass, _err = adaptive_integrate(
+            lambda s: np.asarray(ts.density(s), dtype=float), 0.0, S, rel_tol=1e-12
+        )
+        mass_defect = mass + float(P[-1]) - 1.0
+        check("unit_mass", abs(mass_defect) < 1e-10, mass_defect, 1e-10)
+
+    # rho vs central finite difference of P0, relative 1e-6
+    h = 1e-6 * np.maximum(grid[1:], 1.0)
+    mid = grid[1:]
+    fd = (np.asarray(ts.discount_factor(mid - h)) - np.asarray(ts.discount_factor(mid + h))) / (2.0 * h)
+    denom = np.maximum(np.abs(rho[1:]), 1e-300)
+    worst_fd = float((np.abs(fd - rho[1:]) / denom).max())
+    check("density_matches_slope", worst_fd < 1e-6, worst_fd, 1e-6)
+
+    return ValidationReport(tuple(checks))
 
 
 def _sample_states(model: RateModel, t: float, n: int, rng) -> np.ndarray:
@@ -87,7 +133,7 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
     critical-level residual, and analytic-versus-MC option pricing.
     """
     # the curve must honor its own contract before anything downstream
-    checks = curve_checks(validate_term_structure(model.ts, model.quad.tail_epsilon))
+    checks = list(validate_term_structure(model.ts, model.quad.tail_epsilon).checks)
     S = model.s_max
     t = min(1.0, 0.25 * S)
     T = min(t + 2.0, 0.5 * S)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import re
 
 import pytest
 
@@ -154,6 +155,17 @@ def test_validate_passes_on_shipped_config(tmp_path, capsys):
     text = open(out).read()
     assert "FAIL" not in text.replace("FAILED", "")  # no individual check failed
     assert "OK:" in text
+    # the curve's own contract comes first: six checks, each with its bound
+    curve = [ln for ln in text.splitlines() if ln.startswith(("PASS  curve_", "FAIL  curve_"))]
+    assert [re.sub(r"measured=\S+ ", "", ln) for ln in curve] == [
+        "PASS  curve_unit_at_zero: bound=1e-12",
+        "PASS  curve_strictly_decreasing: bound=0",
+        "PASS  curve_decays_to_zero: bound=1e-12",
+        "PASS  curve_density_positive: bound=0",
+        "PASS  curve_unit_mass: bound=1e-10",
+        "PASS  curve_density_matches_slope: bound=1e-06",
+    ]
+    assert text.splitlines()[2:8] == curve
 
 
 def test_config_hash_tracks_content_and_seed():
@@ -296,9 +308,16 @@ def test_exit_3_validation_failure(tmp_path):
     out = str(tmp_path / "report.txt")
     code = main(["validate", "--config", _write(tmp_path, "c.json", doc), "--out", out])
     assert code == 3
-    text = open(out).read()
-    assert "FAIL" in text and "curve_" in text
-    assert "model checks skipped" in text
+    assert open(out).read() == (
+        "# levyrates validate: model invariant suite\n"
+        "# config_hash=4ef20244dc47f2a9 seed=0\n"
+        "PASS  curve_unit_at_zero: measured=0 bound=1e-12\n"
+        "FAIL  curve_strictly_decreasing: measured=0.230009 bound=0\n"
+        "FAIL  curve_decays_to_zero: measured=2.71828 bound=1e-12\n"
+        "FAIL  curve_density_positive: measured=-0.0271828 bound=0\n"
+        "PASS  curve_density_matches_slope: measured=1.10027e-08 bound=1e-06\n"
+        "FAILED: the initial curve violates its contract; model checks skipped\n"
+    )
 
 
 def test_simulate_rejects_horizon_overrun(tmp_path):

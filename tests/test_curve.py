@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -356,6 +357,50 @@ def test_jacobi_rule_matches_mpmath():
             ref_u, ref_w = np.array(ref).T
             assert np.max(np.abs(np.exp(log_u) - ref_u)) <= 4e-16, (alpha, n)
             assert np.sum(np.abs(np.exp(log_w) - ref_w)) <= 5e-13, (alpha, n)
+
+
+def test_phi_average_batch_rejects_bounds_without_mass(gbm_model):
+    # at or beyond S_max there is no mass to average over: the batch raises
+    # what the scalar weighted_ratio raises, not a nan, while the log
+    # integral there stays -inf
+    ev = gbm_model.evaluator(1.0)
+    S = ev.S
+    lowers = [1.0, 5.0, S, S + 10.0]
+    xi = np.array([-0.5, 0.1, 0.7])
+    message = re.escape(f"no mass beyond lower={S}")
+    with pytest.raises(DomainError, match=message):
+        ev.weighted_ratio(0.1, S)
+    with pytest.raises(DomainError, match=message):
+        ev.phi_average_batch(xi, lowers)
+    logs = ev.log_integral_batch(xi, lowers)
+    assert np.all(np.isfinite(logs[1.0])) and np.all(np.isfinite(logs[5.0]))
+    assert np.all(logs[S] == -np.inf) and np.all(logs[S + 10.0] == -np.inf)
+
+
+def test_model_rejects_a_curve_that_is_not_flat():
+    # the batch kernel's rule is built for the flat curve's density, so
+    # any other curve object is refused when the model is built, not left
+    # to fail inside a Monte Carlo price
+    class HalfLifeCurve:
+        half_life = 20.0
+
+        def discount_factor(self, t):
+            return np.exp2(-np.asarray(t, dtype=float) / self.half_life)
+
+        def density(self, t):
+            return math.log(2.0) / self.half_life * self.discount_factor(t)
+
+        def log_density(self, t):
+            return np.log(self.density(t))
+
+        def truncation_horizon(self, epsilon=1e-12):
+            return -self.half_life * math.log2(epsilon)
+
+        def forward_price(self, t, T):
+            return float(self.discount_factor(T) / self.discount_factor(t))
+
+    with pytest.raises(lr.UnsupportedModelError, match="must be a FlatYieldCurve, got HalfLifeCurve"):
+        lr.RateModel(ts=HalfLifeCurve(), fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=0.3, b=0.02))
 
 
 def test_batch_of_no_draws_is_empty(vg_model):

@@ -167,21 +167,19 @@ def test_mc_price_leaves_scipy_linalg_out():
 def test_itm_weight_saturates_at_extreme_critical_levels(name, all_figure_models):
     # G(s) = E[1{X_t < xi*} M_ts] must sweep from 0 to E[M_ts] = 1
     model = all_figure_models[name]
-    opts = {"jd_series_tail": 1e-12, "jd_n_max": None, "vg_nodes": 64}
     s = np.array([2.0, 5.0, 9.0])
-    hi = _itm_weight_lower(model, 1.0, 60.0, s, opts)
+    hi = _itm_weight_lower(model, 1.0, 60.0, s, None)
     assert np.all(np.abs(hi - 1.0) <= 1e-9)
     lo_level = 0.0 if name == "gamma" else -60.0
-    lo = _itm_weight_lower(model, 1.0, lo_level, s, opts)
+    lo = _itm_weight_lower(model, 1.0, lo_level, s, None)
     assert np.all(np.abs(lo) <= 1e-9)
     mid_level = 1.0 if name == "gamma" else 0.3
-    mid = _itm_weight_lower(model, 1.0, mid_level, s, opts)
+    mid = _itm_weight_lower(model, 1.0, mid_level, s, None)
     assert np.all((mid > 0.0) & (mid < 1.0))
 
 
 def test_gamma_weight_zero_below_support(gamma_model):
-    opts = {"jd_series_tail": 1e-12, "jd_n_max": None, "vg_nodes": 64}
-    out = _itm_weight_lower(gamma_model, 1.0, -0.5, np.array([2.0, 4.0]), opts)
+    out = _itm_weight_lower(gamma_model, 1.0, -0.5, np.array([2.0, 4.0]), None)
     assert np.all(out == 0.0)
 
 

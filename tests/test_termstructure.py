@@ -63,13 +63,12 @@ def test_negative_yield_constructible_but_flagged():
     with pytest.raises(DomainError):
         c.truncation_horizon(1e-12)
     report = lr.validate_term_structure(c)
-    assert not report.passed
+    assert isinstance(report, lr.ValidationReport) and not report.passed
     names = {chk.name: chk for chk in report.checks}
-    assert not names["strictly_decreasing"].passed
-    assert not names["decays_to_zero"].passed
-    assert not names["density_positive"].passed
-    worst = report.worst_failure()
-    assert worst is not None and not worst.passed
+    assert not names["curve_strictly_decreasing"].passed
+    assert not names["curve_decays_to_zero"].passed
+    assert not names["curve_density_positive"].passed
+    assert "curve_unit_mass" not in names  # no horizon to integrate to
 
 
 @given(y=yields)
@@ -89,23 +88,21 @@ def test_horizon_bounds_neglected_mass(y):
 
 def test_validation_report_names_every_check():
     report = lr.validate_term_structure(lr.FlatYieldCurve(y=0.02))
-    assert {c.name for c in report.checks} == {
-        "unit_at_zero",
-        "strictly_decreasing",
-        "decays_to_zero",
-        "density_positive",
-        "unit_mass",
-        "density_matches_slope",
-    }
+    assert [c.name for c in report.checks] == [
+        "curve_unit_at_zero",
+        "curve_strictly_decreasing",
+        "curve_decays_to_zero",
+        "curve_density_positive",
+        "curve_unit_mass",
+        "curve_density_matches_slope",
+    ]
     assert report.passed
-    assert report.worst_failure() is None
+    assert report.lines()[-1] == "OK: 6/6 checks passed"
 
 
 def test_curve_check_lines_print_their_bound():
     # each check is judged against its own tolerance, and its line says which
-    from levyrates.validation import curve_checks
-
     report = lr.validate_term_structure(lr.FlatYieldCurve(y=-0.01))
-    lines = {c.name: c.line() for c in curve_checks(report)}
+    lines = {c.name: c.line() for c in report.checks}
     assert lines["curve_density_matches_slope"].startswith("PASS")
     assert "bound=1e-06" in lines["curve_density_matches_slope"]
