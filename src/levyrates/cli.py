@@ -79,9 +79,13 @@ def _list(value) -> list:
 
 
 def _float(value) -> float:
+    """A finite number: JSON's NaN and Infinity are errors, and so is a boolean."""
     if isinstance(value, bool):  # float(true) would read as 1.0
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
 
 
 def _int(value) -> int:

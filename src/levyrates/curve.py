@@ -219,8 +219,7 @@ class KernelEvaluator:
         """(log rho - t psi(phi), phi) on the nodes of the given panels."""
         s = panel_nodes(edges)
         phi_vals = np.asarray(self.model.phi(s), dtype=float)
-        self.model.fam.require_admissible(phi_vals)
-        psi_vals = np.asarray(self.model.fam._exponent_impl(phi_vals), dtype=float)
+        psi_vals = np.asarray(self.model.fam.exponent(phi_vals), dtype=float)
         return np.asarray(self.model.ts.log_density(s), dtype=float) - self.t * psi_vals, phi_vals
 
     def _set_edges(self, edges: np.ndarray) -> None:
@@ -420,8 +419,7 @@ class KernelEvaluator:
         starts = np.array([min(max(L, self.t), self.S) for L in bounds] + [self.S])
         s = (starts[:, None] - log_u / beta).ravel()
         phi = np.asarray(model.phi(s), dtype=float)
-        model.fam.require_admissible(phi)
-        psi = np.asarray(model.fam._exponent_impl(phi), dtype=float)
+        psi = np.asarray(model.fam.exponent(phi), dtype=float)
         log_p0 = np.log(np.asarray(model.ts.discount_factor(starts), dtype=float))
         base = (log_p0[:, None] + log_w).ravel() - self.t * psi
         W = np.zeros((len(bounds), s.size))
@@ -548,7 +546,7 @@ def kernel_integral(model: RateModel, state: ModelState, lower: Optional[float] 
     """
     _check_state_support(model.fam, state)
     lower = state.t if lower is None else float(lower)
-    if lower < state.t:
+    if not lower >= state.t:  # nan too
         raise DomainError(f"kernel lower bound {lower} must be >= state time {state.t}")
     ev = model.evaluator(state.t)
     if lower >= ev.S:
@@ -560,7 +558,7 @@ def kernel_integral(model: RateModel, state: ModelState, lower: Optional[float] 
 def bond_price(model: RateModel, state: ModelState, T: float) -> float:
     """P_tT = kernel(T) / kernel(t); equals 1 at T = t, decreasing in T."""
     _check_state_support(model.fam, state)
-    if T < state.t:
+    if not T >= state.t:  # nan too
         raise DomainError(f"bond maturity {T} before valuation time {state.t}")
     if T == state.t:
         return 1.0
@@ -575,23 +573,14 @@ def bond_price(model: RateModel, state: ModelState, T: float) -> float:
 
 
 def short_rate(model: RateModel, state: ModelState) -> float:
-    """r_t = rho_t M(t,t,xi) / kernel(t); strictly positive by construction."""
-    _check_state_support(model.fam, state)
-    ev = model.evaluator(state.t)
-    ev.refine(state.xi, state.t)
-    log_num = float(model.ts.log_density(state.t)) + float(
-        log_martingale_value(model.fam, model.phi, state, state.t)
-    )
-    r = math.exp(log_num - ev.log_integral(state.xi, state.t))
-    if not (r > 0.0) or not math.isfinite(r):
-        raise NumericalError(f"short rate came out non-positive ({r}); quadrature inconsistency")
-    return r
+    """r_t = f_tt, the forward rate at T = t; strictly positive."""
+    return forward_rate(model, state, state.t)
 
 
 def forward_rate(model: RateModel, state: ModelState, T: float) -> float:
     """f_tT = rho_T M(t,T,xi) / kernel(T) = -d/dT log P_tT; positive."""
     _check_state_support(model.fam, state)
-    if T < state.t:
+    if not T >= state.t:  # nan too
         raise DomainError(f"forward maturity {T} before valuation time {state.t}")
     ev = model.evaluator(state.t)
     if T >= ev.S:
@@ -614,7 +603,7 @@ def phi_average(model: RateModel, state: ModelState, T: Optional[float] = None) 
     """
     _check_state_support(model.fam, state)
     T = state.t if T is None else float(T)
-    if T < state.t:
+    if not T >= state.t:  # nan too
         raise DomainError(f"phi average maturity {T} before valuation time {state.t}")
     ev = model.evaluator(state.t)
     ev.refine(state.xi, T)

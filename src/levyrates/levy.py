@@ -13,7 +13,7 @@ Monte Carlo oracle built on these draws is unbiased.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Tuple
 
 import numpy as np
@@ -43,6 +43,12 @@ class LevyFamily:
     tag: str = "?"
     # lower edge of the driver's state space; subordinators start at 0
     support_lower: float = -math.inf
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{self.tag} parameter {f.name} must be finite, got {value!r}")
 
     def exponent_domain(self) -> Tuple[float, float]:
         """Open interval (lo, hi) of admissible exponent arguments."""
@@ -119,6 +125,7 @@ class JumpDiffusionFamily(LevyFamily):
             raise DomainError(f"jump intensity must be positive, got {self.lam}")
         if not (self.delta > 0.0):
             raise DomainError(f"jump stdev must be positive, got {self.delta}")
+        super().__post_init__()
 
     def exponent_domain(self):
         return (-math.inf, math.inf)
@@ -131,7 +138,8 @@ class JumpDiffusionFamily(LevyFamily):
     def sample_increment(self, t, rng, size=None):
         _check_horizon(t)
         diffusion, jumps, _n = self.sample_components(t, rng, size)
-        return diffusion + jumps
+        diffusion += jumps  # in place: no third array of one float per draw
+        return diffusion
 
     def sample_components(self, t, rng, size=None):
         """(diffusion part, jump-sum part, jump count) for one increment.
@@ -143,7 +151,9 @@ class JumpDiffusionFamily(LevyFamily):
         n = rng.poisson(self.lam * t, size)
         diffusion = rng.normal(0.0, math.sqrt(t), size)
         # sum of n iid Normal(mu, delta^2) collapses to one normal draw
-        jumps = rng.normal(self.mu * n, self.delta * np.sqrt(n))
+        scale = np.sqrt(n)
+        scale *= self.delta
+        jumps = rng.normal(self.mu * n, scale)
         return diffusion, jumps, n
 
 
@@ -165,6 +175,7 @@ class GammaFamily(LevyFamily):
             raise DomainError(f"gamma rate m must be positive, got {self.m}")
         if not (self.kappa > 0.0):
             raise DomainError(f"gamma scale kappa must be positive, got {self.kappa}")
+        super().__post_init__()
 
     def exponent_domain(self):
         return (-math.inf, 1.0 / self.kappa)
@@ -207,6 +218,7 @@ class VarianceGammaFamily(LevyFamily):
             raise DomainError(f"vg sigma must be positive, got {self.sigma}")
         if not (self.m > 0.0):
             raise DomainError(f"vg rate m must be positive, got {self.m}")
+        super().__post_init__()
 
     @property
     def kappa1(self) -> float:
@@ -229,7 +241,11 @@ class VarianceGammaFamily(LevyFamily):
         _check_horizon(t)
         g1 = rng.gamma(self.m * t, 1.0, size)
         g2 = rng.gamma(self.m * t, 1.0, size)
-        return self.kappa1 * g1 - self.kappa2 * g2
+        # in place, as kappa1 g1 - kappa2 g2 with no temporaries
+        g1 *= self.kappa1
+        g2 *= self.kappa2
+        g1 -= g2
+        return g1
 
 
 def _check_horizon(t) -> None:

@@ -160,8 +160,7 @@ def log_martingale_value(fam: LevyFamily, phi: PhiFunction, state: ModelState, s
     if np.any(s_arr < state.t):
         raise DomainError(f"martingale maturity s must satisfy s >= t={state.t}")
     ph = phi(s)
-    fam.require_admissible(ph)
-    out = np.asarray(ph * state.xi - state.t * fam._exponent_impl(ph))
+    out = np.asarray(ph * state.xi - state.t * fam.exponent(ph))
     return float(out) if np.ndim(s) == 0 else out
 
 

@@ -79,11 +79,11 @@ class OptionSpec:
     strike: float
 
     def __post_init__(self):
-        if self.expiry < 0.0:
-            raise DomainError(f"expiry must be nonnegative, got {self.expiry}")
-        if self.maturity < self.expiry:
+        if not (0.0 <= self.expiry < math.inf):
+            raise DomainError(f"expiry must be nonnegative and finite, got {self.expiry}")
+        if not (self.expiry <= self.maturity < math.inf):
             raise DomainError(
-                f"bond maturity {self.maturity} must not precede expiry {self.expiry}"
+                f"bond maturity {self.maturity} must be finite and not precede expiry {self.expiry}"
             )
         if not (0.0 < self.strike < 1.0):
             raise DomainError(f"strike must lie strictly in (0, 1), got {self.strike}")
@@ -336,7 +336,10 @@ def price_call(
 
     Out-of-range strikes are not errors here: an unattainably low strike
     prices the always-exercised bound P0(T) - K P0(t), an unattainably
-    high one prices zero, each labeled distinctly in the status field.
+    high one prices zero, each labeled distinctly in the status field. A
+    constant tilt makes the bond price deterministic, so the call prices
+    one of those two bounds; a non-monotone tilt raises
+    UnsupportedModelError from the solve.
     """
     t, T, K = spec.expiry, spec.maturity, spec.strike
     P0 = model.ts.discount_factor
@@ -346,19 +349,17 @@ def price_call(
         # the underlying pays 1 at expiry; K < 1 is always exercised
         return CallPrice(price=float(P0(t)) * (1.0 - K), status="degenerate")
 
+    if model.phi.monotonicity == "constant":
+        # the bond price is deterministic; intrinsic value at the bound
+        if K < model.ts.forward_price(t, T):
+            return CallPrice(price=float(P0(T)) - K * float(P0(t)), status="always_itm")
+        return CallPrice(price=0.0, status="always_otm")
     try:
         crit = solve_critical_level(model, spec)
     except StrikeOutOfRangeError as exc:
         if exc.side == "always_itm":
             return CallPrice(price=float(P0(T)) - K * float(P0(t)), status="always_itm")
         return CallPrice(price=0.0, status="always_otm")
-    except UnsupportedModelError:
-        if model.phi.monotonicity == "constant":
-            # the bond price is deterministic; intrinsic value at the bound
-            if K < model.ts.forward_price(t, T):
-                return CallPrice(price=float(P0(T)) - K * float(P0(t)), status="always_itm")
-            return CallPrice(price=0.0, status="always_otm")
-        raise
 
     orient = _orientation(model)
 

@@ -68,6 +68,11 @@ class ValidationReport:
         return out
 
 
+def _check(checks: List[CheckResult], name: str, passed, measured, bound, detail: str = "") -> None:
+    """Record one check: a measured discrepancy judged against its bound."""
+    checks.append(CheckResult(name, bool(passed), float(measured), float(bound), detail))
+
+
 def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> ValidationReport:
     """The initial curve's contract, as checks named curve_*.
 
@@ -77,10 +82,6 @@ def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> Valid
     relative. Failures are reported, not raised.
     """
     checks: List[CheckResult] = []
-
-    def check(name, passed, measured, bound):
-        checks.append(CheckResult(f"curve_{name}", bool(passed), float(measured), bound))
-
     try:
         S = ts.truncation_horizon(epsilon)
         has_horizon = True
@@ -91,15 +92,15 @@ def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> Valid
     P = np.asarray(ts.discount_factor(grid), dtype=float)
     rho = np.asarray(ts.density(grid), dtype=float)
 
-    check("unit_at_zero", abs(P[0] - 1.0) < 1e-12, P[0] - 1.0, 1e-12)
+    _check(checks, "curve_unit_at_zero", abs(P[0] - 1.0) < 1e-12, P[0] - 1.0, 1e-12)
 
     dP = np.diff(P)
-    check("strictly_decreasing", np.all(dP < 0.0), dP.max() if dP.size else 0.0, 0.0)
+    _check(checks, "curve_strictly_decreasing", np.all(dP < 0.0), dP.max() if dP.size else 0.0, 0.0)
 
     floor = epsilon * P[0] * (1.0 + 1e-9)
-    check("decays_to_zero", has_horizon and P[-1] <= floor, P[-1], floor)
+    _check(checks, "curve_decays_to_zero", has_horizon and P[-1] <= floor, P[-1], floor)
 
-    check("density_positive", np.all(rho > 0.0), rho.min(), 0.0)
+    _check(checks, "curve_density_positive", np.all(rho > 0.0), rho.min(), 0.0)
 
     if has_horizon and np.all(rho > 0.0):
         # total mass: integral of rho over [0, S] must equal P0(0) - P0(S)
@@ -107,7 +108,7 @@ def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> Valid
             lambda s: np.asarray(ts.density(s), dtype=float), 0.0, S, rel_tol=1e-12
         )
         mass_defect = mass + float(P[-1]) - 1.0
-        check("unit_mass", abs(mass_defect) < 1e-10, mass_defect, 1e-10)
+        _check(checks, "curve_unit_mass", abs(mass_defect) < 1e-10, mass_defect, 1e-10)
 
     # rho vs central finite difference of P0, relative 1e-6
     h = 1e-6 * np.maximum(grid[1:], 1.0)
@@ -115,13 +116,9 @@ def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> Valid
     fd = (np.asarray(ts.discount_factor(mid - h)) - np.asarray(ts.discount_factor(mid + h))) / (2.0 * h)
     denom = np.maximum(np.abs(rho[1:]), 1e-300)
     worst_fd = float((np.abs(fd - rho[1:]) / denom).max())
-    check("density_matches_slope", worst_fd < 1e-6, worst_fd, 1e-6)
+    _check(checks, "curve_density_matches_slope", worst_fd < 1e-6, worst_fd, 1e-6)
 
     return ValidationReport(tuple(checks))
-
-
-def _sample_states(model: RateModel, t: float, n: int, rng) -> np.ndarray:
-    return np.asarray(model.fam.sample_increment(t, rng, n), dtype=float)
 
 
 def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> ValidationReport:
@@ -140,28 +137,18 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
     rng = spawn_stream(seed, 0)
 
     # E[kernel(t, t)] = P0(t) within Monte Carlo resolution
-    xi = _sample_states(model, t, paths, rng)
+    xi = np.asarray(model.fam.sample_increment(t, rng, paths), dtype=float)
     k_vals = np.exp(model.evaluator(t).log_integral_batch(xi, [t])[t])
     p0 = float(model.ts.discount_factor(t))
     se = float(k_vals.std(ddof=1) / math.sqrt(paths))
     gap = abs(float(k_vals.mean()) - p0)
-    checks.append(
-        CheckResult(
-            name="kernel_mean_matches_curve",
-            passed=gap <= 4.0 * se,
-            measured=gap,
-            bound=4.0 * se,
-            detail=f"t={t}, {paths} draws",
-        )
-    )
+    _check(checks, "kernel_mean_matches_curve", gap <= 4.0 * se, gap, 4.0 * se, f"t={t}, {paths} draws")
 
     states = [ModelState(t=t, xi=float(x)) for x in xi[:20]]
 
     # P(t, t) = 1, exactly
     worst = max(abs(bond_price(model, st, t) - 1.0) for st in states)
-    checks.append(
-        CheckResult(name="bond_price_at_valuation_is_one", passed=worst == 0.0, measured=worst, bound=0.0)
-    )
+    _check(checks, "bond_price_at_valuation_is_one", worst == 0.0, worst, 0.0)
 
     # P(t, T) strictly decreasing in T
     grid = np.linspace(t, min(t + 8.0, 0.9 * S), 21)
@@ -173,14 +160,9 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
         worst_step = min(worst_step, float(-d.max()))
         if np.any(d >= 0.0):
             mono_ok = False
-    checks.append(
-        CheckResult(
-            name="bond_price_decreasing_in_maturity",
-            passed=mono_ok,
-            measured=worst_step,
-            bound=0.0,
-            detail="smallest decrement across maturities",
-        )
+    _check(
+        checks, "bond_price_decreasing_in_maturity", mono_ok, worst_step, 0.0,
+        "smallest decrement across maturities",
     )
 
     # at t = 0 the model returns its input curve
@@ -189,9 +171,7 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
         abs(bond_price(model, t0, float(Tk)) - float(model.ts.discount_factor(Tk)))
         for Tk in np.linspace(0.5, min(10.0, 0.9 * S), 8)
     )
-    checks.append(
-        CheckResult(name="time_zero_matches_input_curve", passed=worst <= 1e-10, measured=worst, bound=1e-10)
-    )
+    _check(checks, "time_zero_matches_input_curve", worst <= 1e-10, worst, 1e-10)
 
     # exp(-int_t^T f) reproduces the bond price
     st = states[0]
@@ -200,52 +180,31 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
     integral = float(np.trapezoid(fvals, fgrid))
     p_direct = bond_price(model, st, T)
     rel = abs(math.exp(-integral) - p_direct) / p_direct
-    checks.append(
-        CheckResult(
-            name="forward_rates_integrate_to_bond_price",
-            passed=rel <= 1e-5,
-            measured=rel,
-            bound=1e-5,
-            detail="trapezoid on 101 points",
-        )
-    )
+    _check(checks, "forward_rates_integrate_to_bond_price", rel <= 1e-5, rel, 1e-5, "trapezoid on 101 points")
 
     # positive short rate everywhere we look
     try:
         r_min = min(short_rate(model, s) for s in states)
-        checks.append(
-            CheckResult(name="short_rate_positive", passed=r_min > 0.0, measured=r_min, bound=0.0)
-        )
+        _check(checks, "short_rate_positive", r_min > 0.0, r_min, 0.0)
     except NumericalError as exc:
-        checks.append(
-            CheckResult(name="short_rate_positive", passed=False, measured=math.nan, bound=0.0, detail=str(exc))
-        )
+        _check(checks, "short_rate_positive", False, math.nan, 0.0, str(exc))
 
     # risk premium sign: positive for the monotone classes, zero for flat phi
     mono = model.phi.monotonicity
     if mono in ("positive-decreasing", "negative-increasing"):
         prem_min = min(risk_premium(model, s, T) for s in states)
-        checks.append(
-            CheckResult(name="risk_premium_positive", passed=prem_min > 0.0, measured=prem_min, bound=0.0)
-        )
+        _check(checks, "risk_premium_positive", prem_min > 0.0, prem_min, 0.0)
     elif mono == "constant":
         prem_max = max(abs(risk_premium(model, s, T)) for s in states)
-        checks.append(
-            CheckResult(name="risk_premium_vanishes", passed=prem_max <= 1e-12, measured=prem_max, bound=1e-12)
-        )
+        _check(checks, "risk_premium_vanishes", prem_max <= 1e-12, prem_max, 1e-12)
 
     # phi average stays inside the range of phi
     lo_b, hi_b = model.phi.range_bounds(S)
     avg_vals = [phi_average(model, s) for s in states[:10]]
     inside = all(lo_b - 1e-12 <= v <= hi_b + 1e-12 for v in avg_vals)
-    checks.append(
-        CheckResult(
-            name="phi_average_within_phi_range",
-            passed=inside,
-            measured=float(min(avg_vals)),
-            bound=lo_b,
-            detail=f"range [{lo_b:.4g}, {hi_b:.4g}]",
-        )
+    _check(
+        checks, "phi_average_within_phi_range", inside, min(avg_vals), lo_b,
+        f"range [{lo_b:.4g}, {hi_b:.4g}]",
     )
 
     # option pricing: critical level residual and agreement with MC
@@ -253,66 +212,33 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
     spec = OptionSpec(expiry=t, maturity=T, strike=K)
     try:
         crit = solve_critical_level(model, spec)
-        checks.append(
-            CheckResult(
-                name="critical_level_residual",
-                passed=crit.residual <= 1e-12,
-                measured=crit.residual,
-                bound=1e-12,
-                detail=f"xi*={crit.xi_star:.6g} at K={K:.6g}",
-            )
+        _check(
+            checks, "critical_level_residual", crit.residual <= 1e-12, crit.residual, 1e-12,
+            f"xi*={crit.xi_star:.6g} at K={K:.6g}",
         )
     except (StrikeOutOfRangeError, UnsupportedModelError) as exc:
-        checks.append(
-            CheckResult(
-                name="critical_level_residual",
-                passed=True,
-                measured=0.0,
-                bound=1e-12,
-                detail=f"skipped: {exc}",
-            )
-        )
+        _check(checks, "critical_level_residual", True, 0.0, 1e-12, f"skipped: {exc}")
 
     try:
         analytic = price_call(model, spec).price
         mc, se = price_call_mc(model, spec, max(paths, 10_000), spawn_stream(seed, 1))
         gap = abs(analytic - mc)
         bound = max(4.0 * se, 1e-12)
-        checks.append(
-            CheckResult(
-                name="analytic_option_matches_mc",
-                passed=gap <= bound,
-                measured=gap,
-                bound=bound,
-                detail=f"analytic={analytic:.8g} mc={mc:.8g} se={se:.2g}",
-            )
+        _check(
+            checks, "analytic_option_matches_mc", gap <= bound, gap, bound,
+            f"analytic={analytic:.8g} mc={mc:.8g} se={se:.2g}",
         )
     except UnsupportedModelError as exc:
-        checks.append(
-            CheckResult(
-                name="analytic_option_matches_mc",
-                passed=True,
-                measured=0.0,
-                bound=0.0,
-                detail=f"skipped: {exc}",
-            )
-        )
+        _check(checks, "analytic_option_matches_mc", True, 0.0, 0.0, f"skipped: {exc}")
 
     # gamma drivers push rates down when phi increases, up when it decreases
     if isinstance(model.fam, GammaFamily) and mono in ("positive-decreasing", "negative-increasing"):
-        bump = 0.5
         base_r = short_rate(model, states[0])
-        bumped = short_rate(model, ModelState(t=states[0].t, xi=states[0].xi + bump))
-        moved_down = bumped < base_r
+        bumped = short_rate(model, ModelState(t=states[0].t, xi=states[0].xi + 0.5))
         expect_down = mono == "negative-increasing"
-        checks.append(
-            CheckResult(
-                name="gamma_jump_moves_short_rate",
-                passed=moved_down == expect_down,
-                measured=bumped - base_r,
-                bound=0.0,
-                detail="downward for increasing phi" if expect_down else "upward for decreasing phi",
-            )
+        _check(
+            checks, "gamma_jump_moves_short_rate", (bumped < base_r) == expect_down, bumped - base_r, 0.0,
+            "downward for increasing phi" if expect_down else "upward for decreasing phi",
         )
 
-    return ValidationReport(checks=tuple(checks))
+    return ValidationReport(tuple(checks))

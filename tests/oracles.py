@@ -1,4 +1,4 @@
-"""Test oracles for the special functions: deliberately not package code.
+"""Test oracles: deliberately not package code.
 
 The normal CDF, and an adaptive scalar evaluation of the gamma-mixture
 normal integral
@@ -9,6 +9,16 @@ normal integral
 against which the package's fixed rule `psi_integral_batch` is checked.
 The window search is a copy of the package's, so the oracle shares no
 code with the rule it checks beyond the adaptive quadrature core.
+
+A call price from the driver's transition density p_t,
+
+    price = int p_t(xi) (k_T(xi) - K k_t(xi))^+ dxi,
+
+with the kernel values k_L(xi) = int_L rho_s M(t, s, xi) ds of
+`kernel_integral`. It shares neither the critical-level solve, nor the
+family weights G, nor the outer maturity integral of `price_call`: the
+kink xi* comes from plain bisection on the bond price, the densities are
+closed forms of their own, and scipy's `quad` integrates over xi.
 """
 
 from __future__ import annotations
@@ -17,8 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.integrate import quad
+from scipy.special import gammaln, kve, ndtr
 
+import levyrates as lr
 from levyrates.errors import DomainError, NumericalError
 from levyrates.quadrature import adaptive_integrate
 
@@ -116,3 +128,108 @@ def psi_integral(args: PsiArgs) -> float:
         integrand, v_lo, v_hi, rel_tol=1e-12, abs_tol=1e-13, points=seeds
     )
     return min(max(value, 0.0), 1.0)
+
+
+# -- call prices from the transition density ----------------------------------
+
+
+def transition_log_density(fam, t: float, x: float) -> float:
+    """log p_t(x) of the driver value X_t, from its law, not from psi.
+
+    gbm: Normal(0, t). jd: the untilted Poisson mixture of normals,
+    N ~ Poisson(lam t) jumps of Normal(mu, delta^2). gamma: Gamma(m t,
+    scale kappa), for x > 0. vg: the Bessel-K closed form of Madan, Carr
+    & Chang (Eur. Finance Rev. 2, 1998) with theta = mu, nu = 1/m, and its
+    finite limit at x = 0 (shape m t > 1/2).
+    """
+    if isinstance(fam, lr.BrownianFamily):
+        return -0.5 * x * x / t - 0.5 * math.log(2.0 * math.pi * t)
+    if isinstance(fam, lr.JumpDiffusionFamily):
+        mean = fam.lam * t
+        n = np.arange(int(mean + 12.0 * math.sqrt(mean) + 30.0) + 1.0)  # tail far below 1e-20
+        var = t + n * fam.delta**2
+        terms = n * math.log(mean) - mean - gammaln(n + 1.0) - 0.5 * (x - n * fam.mu) ** 2 / var
+        terms -= 0.5 * np.log(2.0 * math.pi * var)
+        top = float(terms.max())
+        return top + math.log(float(np.exp(terms - top).sum()))
+    if isinstance(fam, lr.GammaFamily):
+        return (fam.m * t - 1.0) * math.log(x) + gamma_log_cofactor(fam, t, x)
+    if isinstance(fam, lr.VarianceGammaFamily):
+        theta, sigma, tau = fam.mu, fam.sigma, fam.m * t
+        c2 = 2.0 * sigma**2 * fam.m + theta**2  # 2 sigma^2 / nu + theta^2
+        v = tau - 0.5
+        log_pre = (
+            math.log(2.0) + theta * x / sigma**2 + tau * math.log(fam.m)
+            - 0.5 * math.log(2.0 * math.pi) - math.log(sigma) - math.lgamma(tau)
+        )
+        if x == 0.0:  # K_v(z) ~ Gamma(v)/2 (2/z)^v as z -> 0
+            return log_pre + math.lgamma(v) - math.log(2.0) + v * math.log(2.0 * sigma**2 / c2)
+        z = abs(x) * math.sqrt(c2) / sigma**2
+        return log_pre + 0.5 * v * math.log(x * x / c2) + math.log(kve(v, z)) - z
+    raise TypeError(f"no transition density for {fam!r}")
+
+
+def gamma_log_cofactor(fam, t: float, x: float) -> float:
+    """log of the gamma density over its power x^(m t - 1), which is
+    singular at 0 when m t < 1 and goes to quad as an algebraic weight."""
+    a = fam.m * t
+    return -x / fam.kappa - math.lgamma(a) - a * math.log(fam.kappa)
+
+
+def bisect_root(model, t: float, T: float, K: float, lo: float, hi: float) -> float:
+    """xi with P(t, T, xi) = K by plain bisection on the bond price."""
+
+    def gap(xi):
+        return lr.bond_price(model, lr.ModelState(t=t, xi=xi), T) - K
+
+    f_lo = gap(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if gap(mid) * f_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def call_price(model, t: float, T: float, K: float) -> float:
+    """int p_t(xi) (k_T(xi) - K k_t(xi))^+ dxi over the in-the-money side.
+
+    The bracket around xi* grows from [-1, 1] (from the support edge for
+    a subordinator) until the bond price crosses K, and the side where it
+    lies above K is in the money. Where the gamma density is singular at
+    0 (m t < 1), quad takes x^(m t - 1) as its algebraic weight.
+    """
+    fam = model.fam
+
+    def bond(xi):
+        return lr.bond_price(model, lr.ModelState(t=t, xi=xi), T)
+
+    lo, hi = max(fam.support_lower, -1.0), 1.0
+    while (bond(lo) - K) * (bond(hi) - K) > 0.0:
+        lo, hi = max(fam.support_lower, 2.0 * lo), 2.0 * hi
+        if hi > 1e9:
+            raise NumericalError(f"strike {K} is not bracketed by xi in [-1e9, 1e9]")
+    below = bond(lo) > K  # the in-the-money side is xi < xi*
+    xi_star = bisect_root(model, t, T, K, lo, hi)
+
+    def payoff(xi):
+        state = lr.ModelState(t=t, xi=xi)
+        return lr.kernel_integral(model, state, T) - K * lr.kernel_integral(model, state, t)
+
+    def integrand(xi):
+        log_p = transition_log_density(fam, t, xi)
+        return math.exp(log_p) * payoff(xi) if log_p > -745.0 else 0.0
+
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    if isinstance(fam, lr.GammaFamily) and below:
+        value, _ = quad(
+            lambda x: math.exp(gamma_log_cofactor(fam, t, x)) * payoff(x),
+            0.0, xi_star, weight="alg", wvar=(fam.m * t - 1.0, 0.0), **tol,
+        )
+    elif below:
+        value, _ = quad(integrand, -np.inf, xi_star, **tol)
+    else:
+        value, _ = quad(integrand, xi_star, np.inf, **tol)
+    return value

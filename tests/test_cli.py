@@ -389,6 +389,17 @@ def _boundary_cases():
         pytest.param("price", ("curve", "yield"), True, id="curve.yield=True"),
         pytest.param("surface", ("surface", "expiries"), [True], id="surface.expiries=[True]"),
     ]
+    # JSON's NaN and Infinity, which Python's json reads as floats
+    nan, inf = float("nan"), float("inf")
+    cases += [
+        pytest.param("price", ("family", "mu"), nan, id="family.mu=NaN"),
+        pytest.param("price", ("family", "delta"), inf, id="family.delta=Infinity"),
+        pytest.param("price", ("price", "options", 0, "expiry"), nan, id="price.options.0.expiry=NaN"),
+        pytest.param("price", ("price", "options", 0, "maturity"), inf, id="price.options.0.maturity=Infinity"),
+        pytest.param("price", ("price", "maturities"), [nan], id="price.maturities=[NaN]"),
+        pytest.param("surface", ("surface", "expiries"), [nan], id="surface.expiries=[NaN]"),
+        pytest.param("surface", ("surface", "bond_maturity"), inf, id="surface.bond_maturity=Infinity"),
+    ]
     return cases
 
 

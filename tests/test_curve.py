@@ -147,6 +147,16 @@ def test_forward_rate_edges(gbm_model):
         lr.forward_rate(gbm_model, state, gbm_model.s_max + 1.0)
 
 
+@pytest.mark.parametrize(
+    "quantity", [lr.bond_price, lr.forward_rate, lr.phi_average, kernel_integral]
+)
+def test_nan_maturity_raises_domain_error(quantity, gbm_model):
+    # nan passed every comparison with the valuation time and reached the
+    # panel lookup, which raised a bare IndexError
+    with pytest.raises(DomainError):
+        quantity(gbm_model, ModelState(t=1.0, xi=0.2), math.nan)
+
+
 # -- risk diagnostics -----------------------------------------------------------
 
 

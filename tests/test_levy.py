@@ -122,6 +122,23 @@ def test_parameter_validation():
         VarianceGammaFamily(mu=0.1, sigma=0.0, m=5.0)
     with pytest.raises(DomainError):
         VarianceGammaFamily(mu=0.1, sigma=0.3, m=0.0)
+    # each of these used to build, with a nan or inf exponent or a domain
+    # such as (nan, ...) or (-0.0, 0.0)
+    nan, inf = math.nan, math.inf
+    for cls, params, bad in [
+        (JumpDiffusionFamily, dict(lam=5.0, mu=nan, delta=1.0), "mu"),
+        (JumpDiffusionFamily, dict(lam=5.0, mu=-inf, delta=1.0), "mu"),
+        (JumpDiffusionFamily, dict(lam=inf, mu=0.0, delta=1.0), "lam"),
+        (JumpDiffusionFamily, dict(lam=5.0, mu=0.0, delta=inf), "delta"),
+        (GammaFamily, dict(m=inf, kappa=0.5), "m"),
+        (GammaFamily, dict(m=1.0, kappa=inf), "kappa"),
+        (VarianceGammaFamily, dict(mu=nan, sigma=0.3, m=5.0), "mu"),
+        (VarianceGammaFamily, dict(mu=inf, sigma=0.3, m=5.0), "mu"),
+        (VarianceGammaFamily, dict(mu=0.1, sigma=inf, m=5.0), "sigma"),
+        (VarianceGammaFamily, dict(mu=0.1, sigma=0.3, m=inf), "m"),
+    ]:
+        with pytest.raises(DomainError, match=f"parameter {bad} must be finite"):
+            cls(**params)
 
 
 def test_family_from_config():

