@@ -435,28 +435,33 @@ class KernelEvaluator:
 
         The buffer holds nodes x draws, so the per-draw max shift reduces
         and subtracts along contiguous rows. The draws run in blocks of
-        _BLOCK_FLOATS floats, each filled in place, and a partial block is
-        padded with zeros to a multiple of 16 draws: the BLAS product sums
-        a draw's column the same way at any such width, so each draw gets
-        the same value in any batch, one-draw batches included.
+        _BLOCK_FLOATS floats. One product fills a block's exponents:
+        [phi, base] (nodes x 2) times a 2-row buffer of the block's draws
+        over ones, which rounds phi * xi before it adds base, as two
+        passes would. A partial block is padded with zero draws to a
+        multiple of 16: the BLAS products sum a draw's column the same way
+        at any such width, so each draw gets the same value in any batch,
+        one-draw batches included.
         """
         phi, base, W = self._rule_data(bounds, n)
         k, nodes = len(bounds), phi.size
         if phi_average:
             W = np.vstack([W, W * phi])
-        base = base[:, None]
+        A = np.column_stack([phi, base])
         out = np.empty((k, xi.size))
         avg = np.empty((k, xi.size)) if phi_average else None
         rows = _block_rows(nodes)
-        buf = np.empty(nodes * min(rows, -(-xi.size // 16) * 16))
+        width = min(rows, -(-xi.size // 16) * 16)
+        buf = np.empty(nodes * width)
+        B = np.ones((2, width))
         for i0 in range(0, xi.size, rows):
             x = xi[i0 : i0 + rows]
             m, cols = x.size, slice(i0, i0 + x.size)
-            if m % 16:
-                x = np.concatenate([x, np.zeros(-m % 16)])
-            M = buf[: nodes * x.size].reshape(nodes, x.size)
-            np.einsum("j,i->ji", phi, x, out=M)
-            M += base
+            w = -(-m // 16) * 16
+            B[0, :m] = x
+            B[0, m:w] = 0.0
+            M = buf[: nodes * w].reshape(nodes, w)
+            np.matmul(A, B[:, :w], out=M)
             shift = M.max(axis=0)
             M -= shift
             np.exp(M, out=M)
@@ -474,13 +479,23 @@ class KernelEvaluator:
         """Nodes per bound for this batch: the first n from _RULE_NODES on,
         doubling, at which n and n/2 nodes agree to rel_tol in every log
         integral (and phi average, when asked for) at the batch's minimum,
-        median and maximum draw. Raises QuadratureError past
+        mean and maximum draw. Only a bound at or past S_max may give a
+        non-finite value (an empty integral); anywhere else one counts as
+        disagreement. Raises DomainError when a probe is not finite or the
+        minimum lies below the driver's support, QuadratureError past
         _RULE_MAX_NODES.
         """
         if xi.size == 0:
             return _RULE_NODES
-        probes = np.array([xi.min(), np.median(xi), xi.max()])
+        with np.errstate(over="ignore"):  # a mean that overflows is refused below
+            probes = np.array([xi.min(), xi.mean(), xi.max()])
+        fam = self.model.fam
+        if not np.isfinite(probes).all():
+            raise DomainError(f"driver draws must be finite, got min, mean, max = {probes.tolist()}")
+        if probes[0] < fam.support_lower:
+            raise DomainError(f"{fam.tag} driver state must be nonnegative, got xi={probes[0]}")
         tol = self.model.quad.rel_tol
+        past = np.array([L >= self.S for L in bounds])[:, None]
 
         def values(n):
             got = self._rule_integrals(probes, bounds, phi_average, n)
@@ -489,16 +504,21 @@ class KernelEvaluator:
         n, coarse = _RULE_NODES, values(_RULE_NODES // 2)
         while True:
             fine = values(n)
-            # a bound at or past S_max gives -inf (and a nan average) on both
-            ok = np.isclose(fine, coarse, rtol=0.0, atol=tol, equal_nan=True)
+            with np.errstate(invalid="ignore"):  # -inf - -inf, nan
+                ok = past | (np.abs(fine - coarse) <= tol)
             if ok.all():
                 return n
             if 2 * n > _RULE_MAX_NODES:
                 j, i = np.argwhere(~ok)[0]
                 gap = abs(fine[j, i] - coarse[j, i])
+                why = (
+                    f"differ by {gap:.3e}, above rel_tol {tol:g}"
+                    if math.isfinite(gap)
+                    else f"give {fine[j, i]} and {coarse[j, i]}, not finite"
+                )
                 raise QuadratureError(
                     f"kernel rule (t={self.t}, bounds={list(bounds)}, xi={probes[i % 3]}): "
-                    f"{n} and {n // 2} nodes differ by {gap:.3e}, above rel_tol {tol:g}",
+                    f"{n} and {n // 2} nodes {why}",
                     rel_err=float(gap),
                 )
             n, coarse = 2 * n, fine
@@ -515,11 +535,14 @@ class KernelEvaluator:
         Runs the Gauss-Jacobi rule of the module docstring, not the panels,
         so no prepare() is needed; the same rule from S_max is subtracted.
         The rule starts at 24 nodes per bound and doubles while n and n/2
-        nodes differ by more than rel_tol at the batch's smallest, median
-        or largest draw (QuadratureError past 384). Every xi gets its exact
-        kernel value on that rule. The draws run through blocks of about 1 MiB
-        (_BLOCK_FLOATS), so the memory a call needs beyond its output
-        arrays does not grow with the batch.
+        nodes differ by more than rel_tol, or give a value that is not
+        finite below S_max, at the batch's smallest, mean or largest draw
+        (QuadratureError past 384). A draw that is not finite, or lies
+        below the driver's support, raises DomainError. Every xi gets its
+        exact kernel value on that rule. The draws run through blocks of
+        about 1 MiB (_BLOCK_FLOATS), each filled by one matrix product, so
+        the memory a call needs beyond its output arrays does not grow
+        with the batch.
         """
         return self._batch(xi, lowers, False)
 

@@ -401,8 +401,11 @@ def price_call_mc(
 
     Draws the driver at expiry exactly, evaluates the kernel payoff
     (int_T rho M - K int_t rho M)+ per draw on the batch kernel's rule,
-    and averages. Works for any phi, monotone or not.
+    and averages. Works for any phi, monotone or not. paths must be an
+    integer (not a bool) of at least 1000.
     """
+    if not isinstance(paths, (int, np.integer)) or isinstance(paths, bool):
+        raise DomainError(f"path count must be an integer, got {paths!r}")
     if paths < 1000:
         raise DomainError(f"need at least 1000 paths for a meaningful error bar, got {paths}")
     t, T, K = spec.expiry, spec.maturity, spec.strike

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,62 @@ def test_batch_across_block_boundaries(name, all_figure_models):
         np.testing.assert_allclose(pairs[L][1], scalar_avg, rtol=1e-13, atol=0.0)
 
 
+def one_shot_rule_integrals(ev, xi, bounds, n):
+    """log K and phi averages on the n-point rule, written out in one
+    shot: log(W @ exp(phi x + base - max)) + max over all draws at once,
+    with no blocks, no padding and no fused product."""
+    phi, base, W = ev._rule_data(bounds, n)
+    E = np.multiply.outer(phi, xi) + base[:, None]
+    shift = E.max(axis=0)
+    P = np.exp(E - shift)
+    V = W @ P
+    return np.log(V) + shift, ((W * phi) @ P) / V
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_rule_integrals_match_a_one_shot_formula(name, all_figure_models):
+    # the blocked kernel fills each block with one product and pads the
+    # last block with zero draws; none of that may move a value off the
+    # formula it computes, in either mode
+    model = all_figure_models[name]
+    t, lowers = 1.0, [1.0, 4.0]
+    ev = model.evaluator(t)
+    rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
+    xi = model.fam.sample_increment(t, np.random.default_rng(17), size=2 * rows + 7)
+    ref_log, ref_avg = one_shot_rule_integrals(ev, xi, lowers, _RULE_NODES)
+    logs = ev._rule_integrals(xi, lowers, False, _RULE_NODES)
+    pairs = ev._rule_integrals(xi, lowers, True, _RULE_NODES)
+    for j, L in enumerate(lowers):
+        assert np.max(np.abs(logs[L] - ref_log[j])) <= 1e-15
+        assert np.max(np.abs(pairs[L][0] - ref_log[j])) <= 1e-15
+        np.testing.assert_allclose(pairs[L][1], ref_avg[j], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("gbm", np.nan, "must be finite"),
+        ("vg", np.inf, "must be finite"),
+        ("jd", -np.inf, "must be finite"),
+        ("gamma", -0.5, "gamma driver state must be nonnegative"),
+    ],
+)
+def test_batch_refuses_draws_the_scalar_path_refuses(name, bad, message, all_figure_models):
+    # a draw outside the driver's domain raises DomainError from both batch
+    # entry points, with no numpy warning on the way
+    model = all_figure_models[name]
+    ev = model.evaluator(1.0)
+    xi = np.array([0.2, bad, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (ev.log_integral_batch, ev.phi_average_batch):
+            with pytest.raises(DomainError, match=message):
+                entry(xi, [1.0, 3.0])
+    if name == "gamma":
+        with pytest.raises(DomainError, match=message):
+            kernel_integral(model, ModelState(t=1.0, xi=bad))
+
+
 # -- batch rule against an mpmath oracle ----------------------------------------
 
 
@@ -347,6 +404,24 @@ def test_batch_rule_error_names_the_state(flat2):
     with pytest.raises(lr.QuadratureError, match=r"t=1\.0, bounds=\[1\.0, 3\.0\], xi=") as exc_info:
         model.evaluator(1.0).log_integral_batch(np.array([-0.5, 0.1, 0.7]), [1.0, 3.0])
     assert exc_info.value.rel_err > 1e-17
+
+
+def test_rule_check_counts_a_nan_as_disagreement():
+    # bench gamma model, c = -1: at a large draw the S_max rule's
+    # subtraction cancels and few nodes give nan; a nan at n and n/2
+    # nodes is no agreement below S_max
+    model = _bench_model("gamma")
+    t, lowers = 1.0, [1.0, 3.0]
+    ev = model.evaluator(t)
+    xi = np.array([3000.0])
+    assert np.isnan(ev._rule_integrals(xi, lowers, False, 12)[1.0][0])
+    assert ev._rule_nodes(xi, lowers, False) == 384
+    _check_rule_against_mpmath(model, t, xi, lowers, 2e-14)
+    # 12 and 24 nodes both give nan here; 384 and 192 still differ
+    with pytest.raises(lr.QuadratureError, match="384 and 192 nodes differ by"):
+        ev.log_integral_batch(np.array([1e4]), lowers)
+    with pytest.raises(lr.QuadratureError, match="384 and 192 nodes give nan and nan, not finite"):
+        ev.log_integral_batch(np.array([1e6]), lowers)
 
 
 def test_jacobi_rule_matches_mpmath():

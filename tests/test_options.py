@@ -362,3 +362,14 @@ def test_mc_time_zero_is_exact(gbm_model):
 def test_mc_path_floor(gbm_model):
     with pytest.raises(DomainError):
         price_call_mc(gbm_model, SPECS["gbm"], paths=10, rng=lr.spawn_stream(0, 0))
+
+
+@pytest.mark.parametrize("paths", [5000.0, 1000.5, float("nan"), "5000", True])
+def test_mc_path_count_must_be_an_integer(gbm_model, paths):
+    with pytest.raises(DomainError, match="path count must be an integer"):
+        price_call_mc(gbm_model, SPECS["gbm"], paths=paths, rng=lr.spawn_stream(0, 0))
+
+
+def test_mc_takes_a_numpy_integer_path_count(gbm_model):
+    got = price_call_mc(gbm_model, SPECS["gbm"], paths=np.int64(2000), rng=lr.spawn_stream(0, 0))
+    assert got == price_call_mc(gbm_model, SPECS["gbm"], paths=2000, rng=lr.spawn_stream(0, 0))
