@@ -19,8 +19,9 @@ evaluations are deterministic for a fixed call sequence; the
 critical-level solver relies on that by freezing the panelization while
 it brackets.
 
-The batch entry points (log_integral_batch, phi_average_batch) need no
-panels. On the flat curve rho_s = y exp(-y s), the coordinate
+The batch entry points (log_integral_batch, phi_average_batch), and
+through them the phi averages of the risk quantities, need no panels.
+On the flat curve rho_s = y exp(-y s), the coordinate
 u = exp(-beta (s - L)) turns an integral from L into
 
     int_L^inf rho_s M(t, s, xi) ds = P0(L) int_0^1 (y/beta) u^alpha
@@ -252,7 +253,7 @@ class KernelEvaluator:
 
     # -- refinement and evaluation -------------------------------------------
 
-    def refine(self, xi: float, lower: Optional[float] = None, weighted: bool = False) -> None:
+    def refine(self, xi: float, lower: Optional[float] = None) -> None:
         """Split panels on [lower, S_max] until the integral for this xi
         meets rel_tol. Safe to call repeatedly; panels never merge.
 
@@ -268,8 +269,7 @@ class KernelEvaluator:
         shift = float(np.max(self._base + self._phi * xi))
 
         def values(base, phi):
-            vals = np.exp(base + phi * xi - shift)
-            return vals * phi if weighted else vals
+            return np.exp(base + phi * xi - shift)
 
         I, E = panel_estimates(self._edges[start:], values(self._base[start:], self._phi[start:]))
         try:
@@ -337,16 +337,6 @@ class KernelEvaluator:
         """log of int_lower^S rho_s M(t,s,xi) ds on the current panels."""
         lower = self.t if lower is None else float(lower)
         return float(self._integrals(np.array([float(xi)]), [lower], False)[lower][0])
-
-    def weighted_ratio(self, xi: float, lower: Optional[float] = None) -> float:
-        """Phi average: int phi rho M / int rho M over [lower, S_max]."""
-        lower = self.t if lower is None else float(lower)
-        if lower >= self.S:
-            raise DomainError(f"no mass beyond lower={lower}")
-        ratio = float(self._integrals(np.array([float(xi)]), [lower], True)[lower][1][0])
-        if not math.isfinite(ratio):
-            raise NumericalError(f"kernel integral vanished at xi={xi}, lower={lower}")
-        return ratio
 
     def log_bond_and_slope(self, xi: float, T: float) -> Tuple[float, float]:
         """(log P(t, T, xi), d log P / d xi) on the current panels, one pass.
@@ -429,9 +419,9 @@ class KernelEvaluator:
                 W[j, -n:] = -1.0
         return phi, base, W
 
-    def _rule_integrals(self, xi: np.ndarray, bounds: Sequence[float], phi_average: bool, n: int):
-        """log int_L^S rho M per xi and bound L on the n-point rule; with
-        phi_average, the pair (log integral, phi average over [L, S]).
+    def _rule_integrals(self, xi: np.ndarray, data, phi_average: bool):
+        """(log int_L^S rho M, phi average over [L, S] or None), each of
+        shape (bounds, draws), on the rule whose node data _rule_data gave.
 
         The buffer holds nodes x draws, so the per-draw max shift reduces
         and subtracts along contiguous rows. The draws run in blocks of
@@ -443,8 +433,8 @@ class KernelEvaluator:
         at any such width, so each draw gets the same value in any batch,
         one-draw batches included.
         """
-        phi, base, W = self._rule_data(bounds, n)
-        k, nodes = len(bounds), phi.size
+        phi, base, W = data
+        k, nodes = W.shape[0], phi.size
         if phi_average:
             W = np.vstack([W, W * phi])
         A = np.column_stack([phi, base])
@@ -471,22 +461,21 @@ class KernelEvaluator:
                 out[:, cols] += shift[:m]
                 if phi_average:
                     np.divide(V[k:, :m], V[:k, :m], out=avg[:, cols])
-        if phi_average:
-            return {L: (out[j], avg[j]) for j, L in enumerate(bounds)}
-        return {L: out[j] for j, L in enumerate(bounds)}
+        return out, avg
 
-    def _rule_nodes(self, xi: np.ndarray, bounds: Sequence[float], phi_average: bool) -> int:
-        """Nodes per bound for this batch: the first n from _RULE_NODES on,
-        doubling, at which n and n/2 nodes agree to rel_tol in every log
-        integral (and phi average, when asked for) at the batch's minimum,
-        mean and maximum draw. Only a bound at or past S_max may give a
-        non-finite value (an empty integral); anywhere else one counts as
-        disagreement. Raises DomainError when a probe is not finite or the
-        minimum lies below the driver's support, QuadratureError past
+    def _rule_nodes(self, xi: np.ndarray, bounds: Sequence[float], phi_average: bool):
+        """(node data, _rule_integrals at the probes) of the first n-point
+        rule from _RULE_NODES on, doubling, at which n and n/2 nodes agree
+        to rel_tol in every log integral (and phi average, when asked for)
+        at the batch's min, mean and max draw, each node set built once.
+        Only a bound at or past S_max may give a value that is not finite
+        (an empty integral). An empty batch gets the _RULE_NODES rule and
+        no probe values. Raises DomainError when a probe is not finite or
+        lies below the driver's support, QuadratureError past
         _RULE_MAX_NODES.
         """
         if xi.size == 0:
-            return _RULE_NODES
+            return self._rule_data(bounds, _RULE_NODES), None
         with np.errstate(over="ignore"):  # a mean that overflows is refused below
             probes = np.array([xi.min(), xi.mean(), xi.max()])
         fam = self.model.fam
@@ -498,16 +487,17 @@ class KernelEvaluator:
         past = np.array([L >= self.S for L in bounds])[:, None]
 
         def values(n):
-            got = self._rule_integrals(probes, bounds, phi_average, n)
-            return np.array([np.concatenate(v) if phi_average else v for v in got.values()])
+            data = self._rule_data(bounds, n)
+            got = self._rule_integrals(probes, data, phi_average)
+            return data, got, np.hstack(got) if phi_average else got[0]
 
-        n, coarse = _RULE_NODES, values(_RULE_NODES // 2)
+        n, coarse = _RULE_NODES, values(_RULE_NODES // 2)[2]
         while True:
-            fine = values(n)
+            data, got, fine = values(n)
             with np.errstate(invalid="ignore"):  # -inf - -inf, nan
                 ok = past | (np.abs(fine - coarse) <= tol)
             if ok.all():
-                return n
+                return data, got
             if 2 * n > _RULE_MAX_NODES:
                 j, i = np.argwhere(~ok)[0]
                 gap = abs(fine[j, i] - coarse[j, i])
@@ -526,23 +516,20 @@ class KernelEvaluator:
     def _batch(self, xi, lowers: Sequence[float], phi_average: bool) -> dict:
         xi = np.asarray(xi, dtype=float)
         bounds = list(dict.fromkeys(float(L) for L in lowers))
-        n = self._rule_nodes(xi, bounds, phi_average)
-        return self._rule_integrals(xi, bounds, phi_average, n)
+        data, probed = self._rule_nodes(xi, bounds, phi_average)
+        if xi.size == 1:  # its probes are the draw, padded to 16 columns as it would be
+            out, avg = (None if v is None else v[:, :1] for v in probed)
+        else:
+            out, avg = self._rule_integrals(xi, data, phi_average)
+        return {L: (avg if phi_average else out)[j] for j, L in enumerate(bounds)}
 
     def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
-        """log kernel integrals for an array of xi at several lower bounds.
-
-        Runs the Gauss-Jacobi rule of the module docstring, not the panels,
-        so no prepare() is needed; the same rule from S_max is subtracted.
-        The rule starts at 24 nodes per bound and doubles while n and n/2
-        nodes differ by more than rel_tol, or give a value that is not
-        finite below S_max, at the batch's smallest, mean or largest draw
-        (QuadratureError past 384). A draw that is not finite, or lies
-        below the driver's support, raises DomainError. Every xi gets its
-        exact kernel value on that rule. The draws run through blocks of
-        about 1 MiB (_BLOCK_FLOATS), each filled by one matrix product, so
-        the memory a call needs beyond its output arrays does not grow
-        with the batch.
+        """log kernel integrals for an array of xi at several lower bounds,
+        on the Gauss-Jacobi rule of the module docstring minus the same rule
+        from S_max (no panels, so no prepare()), with the nodes _rule_nodes
+        checks. Every xi gets its exact value on that rule, in blocks of
+        about 1 MiB (_BLOCK_FLOATS), so the memory a call needs beyond its
+        outputs does not grow with the batch.
         """
         return self._batch(xi, lowers, False)
 
@@ -550,11 +537,11 @@ class KernelEvaluator:
         """Phi_tT for an array of xi at several lower bounds T, on the rule
         of log_integral_batch; its check covers the phi averages too.
         A bound at or beyond S_max has no mass to average over and raises
-        DomainError, as weighted_ratio does."""
+        DomainError."""
         for L in lowers:
             if L >= self.S:
                 raise DomainError(f"no mass beyond lower={L}")
-        return {L: avg for L, (_, avg) in self._batch(xi, lowers, True).items()}
+        return self._batch(xi, lowers, True)
 
 
 # -- public operations ------------------------------------------------------
@@ -618,30 +605,36 @@ def forward_rate(model: RateModel, state: ModelState, T: float) -> float:
     return f
 
 
+def _phi_averages(model: RateModel, state: ModelState, T: float) -> Tuple[float, float]:
+    """(Phi_tt, Phi_tT) from one pass of the batch rule at the state's draw.
+    DomainError for T before t or at or past S_max; the rule's check fails
+    a value that is not finite, so a vanished integral raises
+    QuadratureError, never a nan."""
+    T = float(T)
+    if not T >= state.t:  # nan too
+        raise DomainError(f"phi average maturity {T} before valuation time {state.t}")
+    avg = model.evaluator(state.t).phi_average_batch(np.array([float(state.xi)]), [state.t, T])
+    return float(avg[float(state.t)][0]), float(avg[T][0])
+
+
 def phi_average(model: RateModel, state: ModelState, T: Optional[float] = None) -> float:
     """Phi_tT: the rho M-weighted average of phi over maturities >= T.
 
     Lies between the extremes of phi on [T, S_max]. T defaults to t,
     giving the market-price-of-risk building block Phi_tt.
     """
-    _check_state_support(model.fam, state)
-    T = state.t if T is None else float(T)
-    if not T >= state.t:  # nan too
-        raise DomainError(f"phi average maturity {T} before valuation time {state.t}")
-    ev = model.evaluator(state.t)
-    ev.refine(state.xi, T)
-    ev.refine(state.xi, T, weighted=True)
-    return ev.weighted_ratio(state.xi, T)
+    return _phi_averages(model, state, state.t if T is None else T)[1]
 
 
 def bond_volatility(model: RateModel, state: ModelState, T: float) -> float:
     """Omega_tT = Phi_tT - Phi_tt; vanishes at T = t."""
-    return phi_average(model, state, T) - phi_average(model, state, state.t)
+    phi_tt, phi_tT = _phi_averages(model, state, T)
+    return phi_tT - phi_tt
 
 
 def risk_aversion(model: RateModel, state: ModelState) -> float:
     """Market price of risk lambda_t = -Phi_tt (sign convention as stated)."""
-    return -phi_average(model, state, state.t)
+    return -_phi_averages(model, state, state.t)[0]
 
 
 def risk_premium(model: RateModel, state: ModelState, T: float) -> float:
@@ -650,6 +643,5 @@ def risk_premium(model: RateModel, state: ModelState, T: float) -> float:
     The product is positive for the admissible monotone phi classes even
     though the factors individually change sign with the class.
     """
-    phi_tt = phi_average(model, state, state.t)
-    phi_tT = phi_average(model, state, T)
+    phi_tt, phi_tT = _phi_averages(model, state, T)
     return phi_tt * (phi_tt - phi_tT)

@@ -13,9 +13,10 @@ reduces to rho-weighted integrals of
 
 which each family evaluates in closed form: a normal CDF for Brownian
 drivers, a tilted Poisson mixture of normal CDFs for jump-diffusion, a
-regularized upper incomplete gamma for the gamma subordinator, and a
-gamma-mixture normal integral for variance gamma. Because E[M_ts] = 1
-exactly, the opposite orientation is the exact complement 1 - G(s).
+regularized incomplete gamma for the gamma subordinator, and a
+gamma-mixture normal integral for variance gamma. Since E[M_ts] = 1, the
+side {xi > xi*} has weight 1 - G(s); each family computes that tail
+directly instead, which keeps its digits where it is small.
 
 The Monte Carlo pricer evaluates the defining expectation directly from
 exact increment draws and is the arbiter whenever a closed form is in
@@ -46,7 +47,7 @@ from .levy import (
 )
 from .martingales import ModelState
 from .quadrature import adaptive_integrate, dyadic_breakpoints
-from .specialfn import psi_integral_batch, reg_upper_gamma
+from .specialfn import psi_integral_batch, reg_lower_gamma, reg_upper_gamma
 
 __all__ = [
     "OptionSpec",
@@ -254,37 +255,39 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
 # -- family-specific in-the-money weights -----------------------------------
 
 
-def _itm_weight_lower(
+def _itm_weight(
     model: RateModel, t: float, xi_star: float, s: np.ndarray, jd_n_max: Optional[int]
 ) -> np.ndarray:
-    """G(s) = E[1{X_t < xi*} M_ts], vectorized over maturities s."""
+    """G(s) = E[1_itm(X_t) M_ts], vectorized over maturities s, on the
+    payoff side of _orientation: {X_t < xi*} or {X_t > xi*}. Each side
+    is its family's own tail, not 1 minus the other."""
     fam = model.fam
+    upper = _orientation(model) == "upper"
+    sign = -1.0 if upper else 1.0
     phi_s = np.asarray(model.phi(s), dtype=float)
     if isinstance(fam, BrownianFamily):
         rt = math.sqrt(t)
-        return ndtr(xi_star / rt - phi_s * rt)
+        return ndtr(sign * (xi_star / rt - phi_s * rt))
     if isinstance(fam, JumpDiffusionFamily):
-        return _jd_weight_lower(fam, t, xi_star, phi_s, jd_n_max)
+        weights, args = _jd_series(fam, t, xi_star, phi_s, jd_n_max)
+        return np.einsum("sn,sn->s", weights, ndtr(sign * args))
     if isinstance(fam, GammaFamily):
-        # driver support is [0, inf): a non-positive critical level leaves
-        # nothing below it
-        if xi_star <= 0.0:
-            return np.zeros_like(phi_s)
-        x = xi_star * (1.0 / fam.kappa - phi_s)
-        return 1.0 - reg_upper_gamma(fam.m * t, x)
+        x = max(xi_star, 0.0) * (1.0 / fam.kappa - phi_s)  # the support is [0, inf)
+        return (reg_upper_gamma if upper else reg_lower_gamma)(fam.m * t, x)
     if isinstance(fam, VarianceGammaFamily):
         inv_var = fam.m - fam.mu * phi_s - 0.5 * fam.sigma**2 * phi_s * phi_s
         big_phi = 1.0 / np.sqrt(inv_var)
         a = xi_star / (fam.sigma * big_phi)
         b = -(fam.mu / fam.sigma + fam.sigma * phi_s) * big_phi
-        return psi_integral_batch(a, b, fam.m * t)
+        return psi_integral_batch(sign * a, sign * b, fam.m * t)  # 1 - N(z) = N(-z)
     raise UnsupportedModelError(f"no closed-form option weight for family {fam.tag!r}")
 
 
-def _jd_weight_lower(
+def _jd_series(
     fam: JumpDiffusionFamily, t: float, xi_star: float, phi_s: np.ndarray, jd_n_max: Optional[int]
-) -> np.ndarray:
-    """Poisson mixture of normal CDFs under the Esscher-tilted intensity.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(Poisson weights, normal CDF arguments), shape (maturities, terms),
+    of the mixture of normal CDFs under the Esscher-tilted intensity.
 
     The tilted intensity is Lambda(s) = lam * exp(phi_s mu + phi_s^2
     delta^2 / 2). The plus sign in front of the delta^2 term is pinned by
@@ -301,9 +304,8 @@ def _jd_weight_lower(
     v_n = np.sqrt(t + n * fam.delta**2)
     with np.errstate(divide="ignore"):
         log_w = n[None, :] * np.log(lam_t[:, None]) - lam_t[:, None] - gammaln(n + 1.0)[None, :]
-    weights = np.exp(log_w)
     args = (xi_star - n[None, :] * fam.mu) / v_n[None, :] - phi_s[:, None] * v_n[None, :]
-    return np.einsum("sn,sn->s", weights, ndtr(args))
+    return np.exp(log_w), args
 
 
 def _poisson_cutoff(mean: float, tail: float) -> int:
@@ -361,19 +363,13 @@ def price_call(
             return CallPrice(price=float(P0(T)) - K * float(P0(t)), status="always_itm")
         return CallPrice(price=0.0, status="always_otm")
 
-    orient = _orientation(model)
-
-    def weight(s: np.ndarray) -> np.ndarray:
-        g = _itm_weight_lower(model, t, crit.xi_star, s, jd_n_max)
-        return g if orient == "lower" else 1.0 - g
-
     rho = model.ts.density
     S = model.s_max
     quad = model.quad
 
     def outer(lower: float) -> float:
         val, _ = adaptive_integrate(
-            lambda s: np.asarray(rho(s), dtype=float) * weight(s),
+            lambda s: np.asarray(rho(s), dtype=float) * _itm_weight(model, t, crit.xi_star, s, jd_n_max),
             lower,
             S,
             rel_tol=quad.rel_tol,

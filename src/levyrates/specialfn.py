@@ -1,6 +1,6 @@
 """Special functions used by the closed-form option prices.
 
-Two pieces: the regularized upper incomplete gamma function, and a fixed
+Two pieces: the regularized incomplete gamma functions, and a fixed
 rule for the gamma-mixture normal integral
 
     psi(a, b, c) = int_0^inf N(a/sqrt(u) + b sqrt(u))
@@ -15,28 +15,35 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
+from scipy.special import gammainc, gammaincc, ndtr
 
 from .errors import DomainError, NumericalError
 from .quadrature import gauss_legendre_nodes
 
-__all__ = ["reg_upper_gamma", "psi_integral_batch"]
+__all__ = ["reg_upper_gamma", "reg_lower_gamma", "psi_integral_batch"]
 
 
-def reg_upper_gamma(a, x):
-    """Q(a, x) = int_x^inf u^{a-1} e^{-u} du / Gamma(a), for a > 0, x >= 0.
-
-    scipy's gammaincc behind the package's domain errors; scalars in give
-    a float out, and the result is clipped to [0, 1].
-    """
+def _regularized_gamma(f, a, x):
+    """scipy's f (gammainc or gammaincc) behind the package's domain errors,
+    for a > 0, x >= 0; scalars give a float, clipped to [0, 1] like arrays."""
     a_arr = np.asarray(a, dtype=float)
     x_arr = np.asarray(x, dtype=float)
     if np.any(a_arr <= 0.0):
         raise DomainError("incomplete gamma shape a must be positive")
     if np.any(x_arr < 0.0):
         raise DomainError("incomplete gamma argument x must be nonnegative")
-    out = np.clip(gammaincc(a_arr, x_arr), 0.0, 1.0)
+    out = np.clip(f(a_arr, x_arr), 0.0, 1.0)
     return float(out) if np.ndim(a) == 0 and np.ndim(x) == 0 else out
+
+
+def reg_upper_gamma(a, x):
+    """Q(a, x) = int_x^inf u^{a-1} e^{-u} du / Gamma(a), for a > 0, x >= 0."""
+    return _regularized_gamma(gammaincc, a, x)
+
+
+def reg_lower_gamma(a, x):
+    """P(a, x) = 1 - Q(a, x), computed directly: it keeps its digits where small."""
+    return _regularized_gamma(gammainc, a, x)
 
 
 # e-folds below its peak at which the Gamma(c,1) weight counts as dead

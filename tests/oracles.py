@@ -7,8 +7,8 @@ normal integral
                             u^{c-1} e^{-u} / Gamma(c) du,
 
 against which the package's fixed rule `psi_integral_batch` is checked.
-The window search is a copy of the package's, so the oracle shares no
-code with the rule it checks beyond the adaptive quadrature core.
+The window search is a copy of the package's and scipy's `quad`
+integrates, so the oracle shares no code with the rule it checks.
 
 A call price from the driver's transition density p_t,
 
@@ -32,7 +32,6 @@ from scipy.special import gammaln, kve, ndtr
 
 import levyrates as lr
 from levyrates.errors import DomainError, NumericalError
-from levyrates.quadrature import adaptive_integrate
 
 
 def norm_cdf(x):
@@ -96,23 +95,18 @@ def psi_integral(args: PsiArgs) -> float:
 
     Substituting u = e^v turns the Gamma(c,1) weight into
     exp(c v - e^v - ln Gamma(c)), a bounded unimodal bump peaking at
-    v = ln c. We integrate adaptively over the window where the weight is
+    v = ln c. scipy's quad integrates over the window where the weight is
     alive. Absolute accuracy is far inside the 1e-8 target.
     """
     a, b, c = args.a, args.b, args.c
     lg = math.lgamma(c)
     v_lo, v_hi = _log_weight_window(c)
 
-    def integrand(v: np.ndarray) -> np.ndarray:
+    def integrand(v: float) -> float:
         with np.errstate(over="ignore"):
             half = 0.5 * v
-            arg = np.zeros_like(v)
-            if a != 0.0:
-                arg = arg + a * np.exp(-half)
-            if b != 0.0:
-                arg = arg + b * np.exp(half)
-            w = np.exp(c * v - np.exp(v) - lg)
-        return ndtr(arg) * w
+            arg = (a * np.exp(-half) if a != 0.0 else 0.0) + (b * np.exp(half) if b != 0.0 else 0.0)
+        return float(ndtr(arg)) * math.exp(c * v - math.exp(v) - lg)
 
     # For small c the window stretches ~45/c units to the left while the CDF
     # factor only varies over a few units of v (near v ~ 2 log|a| and
@@ -124,8 +118,8 @@ def psi_integral(args: PsiArgs) -> float:
         np.linspace(v_lo, v_hi, 17),
         np.linspace(max(v_lo, v_hi - 70.0), v_hi, 33),
     )
-    value, _err = adaptive_integrate(
-        integrand, v_lo, v_hi, rel_tol=1e-12, abs_tol=1e-13, points=seeds
+    value, _err = quad(
+        integrand, v_lo, v_hi, points=seeds[1:-1], epsrel=1e-12, epsabs=1e-13, limit=500
     )
     return min(max(value, 0.0), 1.0)
 

@@ -15,12 +15,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import levyrates as lr
 from levyrates import ModelState, OptionSpec
 from levyrates.cli import main as cli_main
 from levyrates.options import _poisson_cutoff, bond_price_at, price_call, solve_critical_level
-from levyrates.quadrature import adaptive_integrate
 from levyrates.specialfn import reg_upper_gamma
 from oracles import PsiArgs, norm_cdf, psi_integral
 
@@ -95,7 +95,6 @@ def test_criterion_2_kernel_consistency(all_figure_models):
                 rng = lr.spawn_stream(202, 10 * idx + jdx)
                 xi = np.asarray(model.fam.sample_increment(t, rng, n), dtype=float)
                 ev = model.evaluator(t)
-                ev.prepare([float(xi.min()), float(np.median(xi)), float(xi.max())], [t])
                 vals = np.exp(ev.log_integral_batch(xi, [t])[t])
                 se = vals.std(ddof=1) / math.sqrt(n)
                 z = abs(float(vals.mean()) - float(model.ts.discount_factor(t))) / se
@@ -178,15 +177,14 @@ def _price_jd_minus(model, spec):
     rho = model.ts.density
 
     def integrand(s):
-        phi_s = np.asarray(model.phi(s), dtype=float)
-        return np.asarray(rho(s), dtype=float) * _jd_weight_minus(
-            model.fam, t, crit.xi_star, phi_s, n_max
-        )
+        phi_s = np.array([float(model.phi(s))])
+        return float(rho(s)) * float(_jd_weight_minus(model.fam, t, crit.xi_star, phi_s, n_max)[0])
 
-    S = model.s_max
-    num, _ = adaptive_integrate(integrand, T, S, rel_tol=1e-10, abs_tol=1e-14)
-    den, _ = adaptive_integrate(integrand, t, S, rel_tol=1e-10, abs_tol=1e-14)
-    return num - K * den
+    def outer(lower):  # breakpoints: an 8-way equal split of [lower, S_max]
+        pts = np.linspace(lower, model.s_max, 9)
+        return quad(integrand, lower, model.s_max, points=pts[1:-1], epsrel=1e-10, epsabs=1e-14, limit=500)[0]
+
+    return outer(T) - K * outer(t)
 
 
 def test_criterion_3_analytic_vs_oracle(all_figure_models, jd5_model, vg5_model):
@@ -209,7 +207,6 @@ def test_criterion_3_analytic_vs_oracle(all_figure_models, jd5_model, vg5_model)
                 xi = np.asarray(model.fam.sample_increment(t, rng, n), dtype=float)
                 ev = model.evaluator(t)
                 lowers = [t] + sorted({T for T, _ in targets if T > t})
-                ev.prepare([float(xi.min()), float(np.median(xi)), float(xi.max())], lowers)
                 logs = ev.log_integral_batch(xi, lowers)
                 k_t = np.exp(logs[t])
                 for T, factors in targets:
@@ -291,7 +288,6 @@ def test_criterion_5_risk_premium_positive(gbm_model, gamma_model):
                 xi = np.asarray(model.fam.sample_increment(t, rng, states_per_t), dtype=float)
                 ev = model.evaluator(t)
                 lowers = [t, t + 1.0, t + 4.0]
-                ev.prepare([float(xi.min()), float(np.median(xi)), float(xi.max())], lowers)
                 avg = ev.phi_average_batch(xi, lowers)
                 phi_tt = avg[t]
                 for T in (t + 1.0, t + 4.0):

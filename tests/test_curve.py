@@ -113,7 +113,6 @@ def test_kernel_mean_recovers_initial_discount(gbm_model):
     rng = lr.spawn_stream(17, 0)
     xi = np.asarray(gbm_model.fam.sample_increment(t, rng, n), dtype=float)
     ev = gbm_model.evaluator(t)
-    ev.prepare([float(xi.min()), float(np.median(xi)), float(xi.max())], [t])
     vals = np.exp(ev.log_integral_batch(xi, [t])[t])
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - gbm_model.ts.discount_factor(t)) <= 4.0 * se
@@ -204,7 +203,7 @@ def test_batch_matches_scalar_integrals(vg_model):
     avg = ev.phi_average_batch(xi, lowers)
     for L in lowers:
         for i, x in enumerate(xi):
-            assert avg[L][i] == pytest.approx(ev.weighted_ratio(float(x), L), rel=1e-10)
+            assert avg[L][i] == pytest.approx(mp_phi_average(vg_model, t, float(x), L), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
@@ -220,24 +219,39 @@ def test_batch_across_block_boundaries(name, all_figure_models):
     rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
     xi = draws[: 2 * rows + 7]
     assert xi.size == 2 * rows + 7
-    n_log = ev._rule_nodes(xi, lowers, False)
-    n_avg = ev._rule_nodes(xi, lowers, True)
+    data_log = ev._rule_nodes(xi, lowers, False)[0]
+    data_avg = ev._rule_nodes(xi, lowers, True)[0]
     logs = ev.log_integral_batch(xi, lowers)
     pairs = ev._integrals(xi, lowers, True)
     avgs = ev.phi_average_batch(xi, lowers)
-    one_log = [ev._rule_integrals(np.array([x]), lowers, False, n_log) for x in xi]
-    one_avg = [ev._rule_integrals(np.array([x]), lowers, True, n_avg) for x in xi]
-    for L in lowers:
+    one_log = np.hstack([ev._rule_integrals(np.array([x]), data_log, False)[0] for x in xi])
+    one_avg = np.hstack([ev._rule_integrals(np.array([x]), data_avg, True)[1] for x in xi])
+    for j, L in enumerate(lowers):
         scalar_log = np.array([ev.log_integral(float(x), L) for x in xi])
-        scalar_avg = np.array([ev.weighted_ratio(float(x), L) for x in xi])
-        assert np.max(np.abs(logs[L] - np.concatenate([v[L] for v in one_log]))) <= 1e-15
-        np.testing.assert_allclose(
-            avgs[L], np.concatenate([v[L][1] for v in one_avg]), rtol=1e-13, atol=0.0
-        )
+        panel_avg = ev._integrals(xi, [L], True)[L][1]
+        assert np.max(np.abs(logs[L] - one_log[j])) <= 1e-15
+        np.testing.assert_allclose(avgs[L], one_avg[j], rtol=1e-13, atol=0.0)
         assert np.max(np.abs(logs[L] - scalar_log)) <= 1e-13
-        np.testing.assert_allclose(avgs[L], scalar_avg, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(avgs[L], panel_avg, rtol=1e-12, atol=0.0)
         assert np.max(np.abs(pairs[L][0] - scalar_log)) <= 1e-15
-        np.testing.assert_allclose(pairs[L][1], scalar_avg, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(pairs[L][1], panel_avg, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_one_draw_batch_returns_its_probe_values(name, all_figure_models):
+    # a one-draw batch returns what its rule check computed at its probes
+    # (the draw three times); those are the bits of a one-draw pass
+    model = all_figure_models[name]
+    t, lowers = 1.0, [1.0, 4.0]
+    ev = model.evaluator(t)
+    for x in model.fam.sample_increment(t, np.random.default_rng(13), size=5):
+        one = np.array([x])
+        for avg in (False, True):
+            logs, avgs = ev._rule_integrals(one, ev._rule_nodes(one, lowers, avg)[0], avg)
+            want = avgs if avg else logs
+            got = ev._batch(one, lowers, avg)
+            for j, L in enumerate(lowers):
+                assert got[L].tolist() == want[j].tolist()
 
 
 def one_shot_rule_integrals(ev, xi, bounds, n):
@@ -263,12 +277,13 @@ def test_rule_integrals_match_a_one_shot_formula(name, all_figure_models):
     rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
     xi = model.fam.sample_increment(t, np.random.default_rng(17), size=2 * rows + 7)
     ref_log, ref_avg = one_shot_rule_integrals(ev, xi, lowers, _RULE_NODES)
-    logs = ev._rule_integrals(xi, lowers, False, _RULE_NODES)
-    pairs = ev._rule_integrals(xi, lowers, True, _RULE_NODES)
-    for j, L in enumerate(lowers):
-        assert np.max(np.abs(logs[L] - ref_log[j])) <= 1e-15
-        assert np.max(np.abs(pairs[L][0] - ref_log[j])) <= 1e-15
-        np.testing.assert_allclose(pairs[L][1], ref_avg[j], rtol=1e-13, atol=0.0)
+    data = ev._rule_data(lowers, _RULE_NODES)
+    logs, none = ev._rule_integrals(xi, data, False)
+    pair_log, pair_avg = ev._rule_integrals(xi, data, True)
+    assert none is None
+    assert np.max(np.abs(logs - ref_log)) <= 1e-15
+    assert np.max(np.abs(pair_log - ref_log)) <= 1e-15
+    np.testing.assert_allclose(pair_avg, ref_avg, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -320,20 +335,36 @@ def _mp_psi(fam, a):
     return -fam.m * mpmath.log(1 - (fam.mu / fam.m) * a - fam.sigma**2 / (2 * fam.m) * a * a)
 
 
+def _mp_kernel(model, t, xi, lower, power):
+    """int_lower^S_max phi_s^power rho_s M(t, s, xi) ds by mpmath.quad, on
+    the flat curve, written against the closed forms only; call it inside
+    mpmath.workdps."""
+    import mpmath
+
+    y, S = mpmath.mpf(model.ts.y), mpmath.mpf(model.s_max)
+
+    def f(s):
+        phi = _mp_phi(model.phi, s)
+        return phi**power * y * mpmath.exp(-y * s + phi * xi - t * _mp_psi(model.fam, phi))
+
+    pts = [mpmath.mpf(lower)] + [lower + d for d in 2.0 ** np.arange(-2, 12) if lower + d < model.s_max]
+    return mpmath.quad(f, pts + [S])
+
+
 def mp_log_kernel(model, t, xi, lower):
-    """log int_lower^S_max rho_s M(t, s, xi) ds by mpmath.quad at 30 digits,
-    on the flat curve, written against the closed forms only."""
+    """log int_lower^S_max rho_s M(t, s, xi) ds at 30 digits."""
     import mpmath
 
     with mpmath.workdps(30):
-        y, S = mpmath.mpf(model.ts.y), mpmath.mpf(model.s_max)
+        return float(mpmath.log(_mp_kernel(model, t, xi, lower, 0)))
 
-        def f(s):
-            phi = _mp_phi(model.phi, s)
-            return y * mpmath.exp(-y * s + phi * xi - t * _mp_psi(model.fam, phi))
 
-        pts = [mpmath.mpf(lower)] + [lower + d for d in 2.0 ** np.arange(-2, 12) if lower + d < model.s_max]
-        return float(mpmath.log(mpmath.quad(f, pts + [S])))
+def mp_phi_average(model, t, xi, lower):
+    """Phi over [lower, S_max], int phi rho M / int rho M, at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return float(_mp_kernel(model, t, xi, lower, 1) / _mp_kernel(model, t, xi, lower, 0))
 
 
 def _bench_model(name):
@@ -345,6 +376,12 @@ def _bench_model(name):
     }[name]
     phi = lr.ExpDecayPhi(c=-1.0 if name == "gamma" else 1.0, b=0.02)
     return lr.RateModel(ts=lr.FlatYieldCurve(y=0.03), fam=fam, phi=phi)
+
+
+def rule_nodes(ev, xi, bounds):
+    """Nodes per bound of the rule that the batch check picks for xi."""
+    phi = ev._rule_nodes(np.asarray(xi, dtype=float), bounds, False)[0][0]
+    return phi.size // (len(bounds) + 1)
 
 
 def _check_rule_against_mpmath(model, t, xi, lowers, tol):
@@ -363,8 +400,21 @@ def test_batch_rule_matches_mpmath(kind, name, t, all_figure_models):
     model = all_figure_models[name] if kind == "figure" else _bench_model(name)
     draws = model.fam.sample_increment(t, np.random.default_rng(23), size=10_000)
     xi = np.array([draws.min(), draws.max()])
-    assert model.evaluator(t)._rule_nodes(xi, [t, t + 2.0], False) == _RULE_NODES
+    assert rule_nodes(model.evaluator(t), xi, [t, t + 2.0]) == _RULE_NODES
     _check_rule_against_mpmath(model, t, xi, [t, t + 2.0], 2e-14)
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_phi_average_matches_mpmath(name, all_figure_models):
+    # the phi-weighted counterpart: Phi_tT on the batch rule at the
+    # extremes of 10^4 exact draws, with T = t and t + 2
+    model = all_figure_models[name]
+    t = 1.0
+    draws = model.fam.sample_increment(t, np.random.default_rng(29), size=10_000)
+    for x in (float(draws.min()), float(draws.max())):
+        for T in (t, t + 2.0):
+            got = lr.phi_average(model, ModelState(t=t, xi=x), T)
+            assert got == pytest.approx(mp_phi_average(model, t, x, T), rel=1e-12, abs=0.0)
 
 
 def test_batch_rule_doubles_for_a_bump_tilt(flat2):
@@ -376,7 +426,7 @@ def test_batch_rule_doubles_for_a_bump_tilt(flat2):
     assert model.rule_rate == flat2.y
     t, lowers = 1.0, [1.0, 3.0]
     xi = model.fam.sample_increment(t, np.random.default_rng(3), size=10_000)
-    assert model.evaluator(t)._rule_nodes(xi, lowers, False) > _RULE_NODES
+    assert rule_nodes(model.evaluator(t), xi, lowers) > _RULE_NODES
     _check_rule_against_mpmath(model, t, np.array([xi.min(), xi.max()]), lowers, 2e-14)
 
 
@@ -388,7 +438,7 @@ def test_batch_rule_at_a_slowly_decaying_tilt(flat3):
     t, lowers = 1.0, [1.0, 3.0]
     xi = model.fam.sample_increment(t, np.random.default_rng(4), size=10_000)
     xi = np.array([xi.min(), xi.max()])
-    assert model.evaluator(t)._rule_nodes(xi, lowers, False) == _RULE_NODES
+    assert rule_nodes(model.evaluator(t), xi, lowers) == _RULE_NODES
     _check_rule_against_mpmath(model, t, xi, lowers, 2e-14)
 
 
@@ -414,14 +464,19 @@ def test_rule_check_counts_a_nan_as_disagreement():
     t, lowers = 1.0, [1.0, 3.0]
     ev = model.evaluator(t)
     xi = np.array([3000.0])
-    assert np.isnan(ev._rule_integrals(xi, lowers, False, 12)[1.0][0])
-    assert ev._rule_nodes(xi, lowers, False) == 384
+    assert np.isnan(ev._rule_integrals(xi, ev._rule_data(lowers, 12), False)[0][0, 0])
+    assert rule_nodes(ev, xi, lowers) == 384
     _check_rule_against_mpmath(model, t, xi, lowers, 2e-14)
     # 12 and 24 nodes both give nan here; 384 and 192 still differ
     with pytest.raises(lr.QuadratureError, match="384 and 192 nodes differ by"):
         ev.log_integral_batch(np.array([1e4]), lowers)
     with pytest.raises(lr.QuadratureError, match="384 and 192 nodes give nan and nan, not finite"):
         ev.log_integral_batch(np.array([1e6]), lowers)
+    # so the phi averages there raise too, never a nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lr.NumericalError, match="not finite"):
+            lr.risk_premium(model, ModelState(t=t, xi=1e6), 3.0)
 
 
 def test_jacobi_rule_matches_mpmath():
@@ -446,15 +501,15 @@ def test_jacobi_rule_matches_mpmath():
 
 def test_phi_average_batch_rejects_bounds_without_mass(gbm_model):
     # at or beyond S_max there is no mass to average over: the batch raises
-    # what the scalar weighted_ratio raises, not a nan, while the log
-    # integral there stays -inf
+    # what phi_average raises, not a nan, while the log integral there
+    # stays -inf
     ev = gbm_model.evaluator(1.0)
     S = ev.S
     lowers = [1.0, 5.0, S, S + 10.0]
     xi = np.array([-0.5, 0.1, 0.7])
     message = re.escape(f"no mass beyond lower={S}")
     with pytest.raises(DomainError, match=message):
-        ev.weighted_ratio(0.1, S)
+        lr.phi_average(gbm_model, ModelState(t=1.0, xi=0.1), S)
     with pytest.raises(DomainError, match=message):
         ev.phi_average_batch(xi, lowers)
     logs = ev.log_integral_batch(xi, lowers)
@@ -502,7 +557,6 @@ def test_batch_memory_is_bounded(jd_model):
     t, lowers = 1.0, [1.0, 3.0]
     ev = jd_model.evaluator(t)
     xi = jd_model.fam.sample_increment(t, np.random.default_rng(5), size=200_000)
-    ev.prepare([float(xi.min()), 0.0, float(xi.max())], lowers)
     tracemalloc.start()
     try:
         logs = ev.log_integral_batch(xi, lowers)

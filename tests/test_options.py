@@ -15,8 +15,9 @@ from scipy.integrate import quad
 
 import levyrates as lr
 from levyrates import DomainError, ModelState, OptionSpec, UnsupportedModelError
+from levyrates import options
 from levyrates.options import (
-    _itm_weight_lower,
+    _itm_weight,
     bond_price_at,
     price_call,
     price_call_mc,
@@ -164,14 +165,11 @@ def test_transition_density_matches_exponent(name, setting, t):
         assert got == pytest.approx(math.exp(t * fam.exponent(a)), rel=1e-10)
 
 
-# jd is left out: at fig2 with the tilt flipped (upper orientation),
-# t = 0.5, K = 1.01 x forward, price_call gives 8.563462865995e-06 and
-# the oracle 8.563462866334e-06, 4.0e-11 apart. The pricer is the side
-# that is off: it takes the upper-orientation weight as 1 - G_lower,
-# which loses about 5 digits where G_lower is near 1; the same outer
-# integrals on the direct upper tail of the Poisson series come within
-# 3.9e-13 of the oracle.
-@pytest.mark.parametrize("name", ["gbm", "gamma", "vg"])
+# 1.02 x forward is deep out of the money: the in-the-money weight G is
+# then small, and computing it as 1 minus the other side's weight would
+# lose about |log10 G| digits (at fig2 jd with the tilt flipped, t = 0.5,
+# K = 1.01 x forward, that was 4.0e-11 off the oracle)
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
 @pytest.mark.parametrize("setting", ["fig", "bench"])
 @pytest.mark.parametrize("flip", [False, True], ids=["tilt", "flipped"])
 def test_price_matches_transition_density_oracle(name, setting, flip):
@@ -180,7 +178,7 @@ def test_price_matches_transition_density_oracle(name, setting, flip):
     for t in (0.5, 1.5, 3.0):
         T = t + 2.0
         forward = model.ts.forward_price(t, T)
-        for factor in (0.995, 1.0, 1.01):
+        for factor in (0.995, 1.0, 1.01, 1.02):
             K = factor * forward
             res = price_call(model, OptionSpec(expiry=t, maturity=T, strike=K))
             if res.status != "ok":
@@ -227,24 +225,36 @@ def test_mc_price_leaves_scipy_linalg_out():
 # -- in-the-money weights: unit-mass limits from E[M] = 1 ----------------------
 
 
+def _side_weights(model, xi_star, s, monkeypatch):
+    """(E[1{X_t < xi*} M_ts], E[1{X_t > xi*} M_ts]) at t = 1 from
+    _itm_weight, with the payoff side forced each way."""
+    out = []
+    for side in ("lower", "upper"):
+        monkeypatch.setattr(options, "_orientation", lambda model, side=side: side)
+        out.append(_itm_weight(model, 1.0, xi_star, s, None))
+    monkeypatch.undo()
+    return out
+
+
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
-def test_itm_weight_saturates_at_extreme_critical_levels(name, all_figure_models):
-    # G(s) = E[1{X_t < xi*} M_ts] must sweep from 0 to E[M_ts] = 1
+def test_itm_weight_saturates_at_extreme_critical_levels(name, all_figure_models, monkeypatch):
+    # the weight below xi* must sweep from 0 to E[M_ts] = 1; the weight
+    # above is each family's own tail, and the two add up to 1
     model = all_figure_models[name]
     s = np.array([2.0, 5.0, 9.0])
-    hi = _itm_weight_lower(model, 1.0, 60.0, s, None)
-    assert np.all(np.abs(hi - 1.0) <= 1e-9)
-    lo_level = 0.0 if name == "gamma" else -60.0
-    lo = _itm_weight_lower(model, 1.0, lo_level, s, None)
-    assert np.all(np.abs(lo) <= 1e-9)
-    mid_level = 1.0 if name == "gamma" else 0.3
-    mid = _itm_weight_lower(model, 1.0, mid_level, s, None)
-    assert np.all((mid > 0.0) & (mid < 1.0))
+    lo_level, mid_level = (0.0, 1.0) if name == "gamma" else (-60.0, 0.3)
+    for level, want in ((60.0, 1.0), (lo_level, 0.0), (mid_level, None)):
+        below, above = _side_weights(model, level, s, monkeypatch)
+        assert np.all(np.abs(below + above - 1.0) <= 1e-12)
+        if want is None:
+            assert np.all((below > 0.0) & (below < 1.0))
+        else:
+            assert np.all(np.abs(below - want) <= 1e-9)
 
 
-def test_gamma_weight_zero_below_support(gamma_model):
-    out = _itm_weight_lower(gamma_model, 1.0, -0.5, np.array([2.0, 4.0]), None)
-    assert np.all(out == 0.0)
+def test_gamma_weight_zero_below_support(gamma_model, monkeypatch):
+    below, above = _side_weights(gamma_model, -0.5, np.array([2.0, 4.0]), monkeypatch)
+    assert np.all(below == 0.0) and np.all(above == 1.0)
 
 
 # -- closed-form prices ---------------------------------------------------------

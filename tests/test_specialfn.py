@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 import levyrates as lr
 from levyrates.errors import DomainError
-from levyrates.specialfn import psi_integral_batch, reg_upper_gamma
+from levyrates.specialfn import psi_integral_batch, reg_lower_gamma, reg_upper_gamma
 from oracles import PsiArgs, norm_cdf, psi_integral
 
 
@@ -64,6 +64,26 @@ def test_reg_upper_gamma_against_mpmath():
                 [float(mpmath.gammainc(a, xi, mpmath.inf, regularized=True)) for xi in x]
             )
             assert np.max(np.abs(ours - ref)) < 1e-12, f"a={a}"
+
+
+def test_reg_lower_gamma_against_mpmath():
+    # P = 1 - Q computed directly: relative accuracy where P is tiny,
+    # which 1 - Q cannot give, and the same domain errors as Q
+    import mpmath
+
+    with mpmath.workdps(30):
+        for a in (0.1, 1.0, 7.0, 55.0, 400.0):
+            x = np.concatenate([a * np.geomspace(1e-3, 0.5, 40), np.linspace(0.0, 4.0 * a + 40.0, 41)])
+            ours = reg_lower_gamma(a, x)
+            ref = np.array([float(mpmath.gammainc(a, 0, xi, regularized=True)) for xi in x])
+            normal = ref > 1e-300  # below, the subnormal range has no relative digits
+            assert np.all(np.abs(ours - ref)[normal] <= 1e-12 * ref[normal]), f"a={a}"
+            assert np.max(np.abs(ours + reg_upper_gamma(a, x) - 1.0)) <= 1e-15
+    assert isinstance(reg_lower_gamma(2.0, 1.0), float)
+    with pytest.raises(DomainError):
+        reg_lower_gamma(0.0, 2.0)
+    with pytest.raises(DomainError):
+        reg_lower_gamma(2.0, -0.5)
 
 
 def test_reg_upper_gamma_recurrence():
