@@ -87,9 +87,34 @@ def _block_rows(nodes: int) -> int:
 
 
 # Gauss-Jacobi rule of the batch kernel: _RULE_NODES nodes per bound,
-# checked against half as many and doubled up to _RULE_MAX_NODES.
+# checked against half as many and doubled up to _RULE_MAX_NODES; the
+# shifts of a call come from a table on _ENVELOPE_POINTS grid points.
 _RULE_NODES = 24
 _RULE_MAX_NODES = 384
+_ENVELOPE_POINTS = 257
+
+
+def _envelope(phi: np.ndarray, base: np.ndarray, xi: np.ndarray):
+    """f(x, out) writing -max_i (phi_i x + base_i) into out for x in
+    [min, max] of xi, or None; see KernelEvaluator._rule_integrals."""
+    lo = float(xi.min())
+    h = (float(xi.max()) - lo) / (_ENVELOPE_POINTS - 1) or 1.0
+    if not 1e-300 < h < 1e300:
+        return None
+    top = (np.multiply.outer(phi, lo + h * np.arange(_ENVELOPE_POINTS)) + base[:, None]).argmax(axis=0)
+    p, q = -phi[top], -base[top]  # -(phi x + base) is (-phi) x + (-base), bit for bit
+    j = np.flatnonzero(p[1:] < p[:-1])
+    x = (q[j] - q[j + 1]) / (p[j + 1] - p[j])  # where a cell's two top lines cross
+    tops = np.minimum(p[j] * x + q[j], p[j + 1] * x + q[j + 1])
+    if np.any((np.multiply.outer(phi, x) + base[:, None]).max(axis=0) > -tops):
+        return None
+    pb, qb = np.append(p[1:], p[-1]), np.append(q[1:], q[-1])
+
+    def minus_shift(x, out):
+        c = ((x - lo) / h).astype(np.intp)
+        return np.minimum(p[c] * x + q[c], pb[c] * x + qb[c], out=out)
+
+    return minus_shift
 
 
 @dataclass(frozen=True)
@@ -423,42 +448,49 @@ class KernelEvaluator:
         """(log int_L^S rho M, phi average over [L, S] or None), each of
         shape (bounds, draws), on the rule whose node data _rule_data gave.
 
-        The buffer holds nodes x draws, so the per-draw max shift reduces
-        and subtracts along contiguous rows. The draws run in blocks of
-        _BLOCK_FLOATS floats. One product fills a block's exponents:
-        [phi, base] (nodes x 2) times a 2-row buffer of the block's draws
-        over ones, which rounds phi * xi before it adds base, as two
-        passes would. A partial block is padded with zero draws to a
-        multiple of 16: the BLAS products sum a draw's column the same way
-        at any such width, so each draw gets the same value in any batch,
-        one-draw batches included.
+        Blocks of _BLOCK_FLOATS floats, nodes x draws, take three passes:
+        [phi, base, 1] times the draws over ones over minus their shifts
+        (one product that rounds as the three steps would), exp, W @ M.
+        A shift is the draw's largest exponent phi_i xi + base_i: in calls
+        of more than 16 draws, the larger of the two lines that _envelope's
+        table gives for the draw's cell. Such a line is never above the max
+        and short of it by at most (phi spread x cell width) / 4, only where
+        a third line tops the cell; the table refuses such cells, and then,
+        as in smaller calls, each block subtracts its own max in two more
+        passes. A partial block is padded with its first draw to a multiple
+        of 16: the BLAS products sum a draw's column the same way at any
+        such width, so each draw gets the same value in any batch.
         """
         phi, base, W = data
         k, nodes = W.shape[0], phi.size
         if phi_average:
             W = np.vstack([W, W * phi])
-        A = np.column_stack([phi, base])
+        minus_shift = _envelope(phi, base, xi) if xi.size > 16 else None
+        A = np.column_stack([phi, base] if minus_shift is None else [phi, base, np.ones(nodes)])
         out = np.empty((k, xi.size))
         avg = np.empty((k, xi.size)) if phi_average else None
         rows = _block_rows(nodes)
         width = min(rows, -(-xi.size // 16) * 16)
         buf = np.empty(nodes * width)
-        B = np.ones((2, width))
+        B = np.ones((A.shape[1], width))
         for i0 in range(0, xi.size, rows):
             x = xi[i0 : i0 + rows]
             m, cols = x.size, slice(i0, i0 + x.size)
             w = -(-m // 16) * 16
             B[0, :m] = x
-            B[0, m:w] = 0.0
+            B[0, m:w] = x[0]
             M = buf[: nodes * w].reshape(nodes, w)
+            if minus_shift is not None:
+                neg = minus_shift(B[0, :w], out=B[2, :w])
             np.matmul(A, B[:, :w], out=M)
-            shift = M.max(axis=0)
-            M -= shift
+            if minus_shift is None:  # the product's own max
+                neg = np.negative(M.max(axis=0))
+                M += neg
             np.exp(M, out=M)
             V = W @ M
             with np.errstate(divide="ignore", invalid="ignore"):  # a vanished integral
                 np.log(V[:k, :m], out=out[:, cols])
-                out[:, cols] += shift[:m]
+                out[:, cols] -= neg[:m]
                 if phi_average:
                     np.divide(V[k:, :m], V[:k, :m], out=avg[:, cols])
         return out, avg

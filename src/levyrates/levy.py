@@ -150,10 +150,11 @@ class JumpDiffusionFamily(LevyFamily):
         _check_horizon(t)
         n = rng.poisson(self.lam * t, size)
         diffusion = rng.normal(0.0, math.sqrt(t), size)
-        # sum of n iid Normal(mu, delta^2) collapses to one normal draw
-        scale = np.sqrt(n)
-        scale *= self.delta
-        jumps = rng.normal(self.mu * n, scale)
+        # sum of n iid Normal(mu, delta^2) collapses to one normal draw, made
+        # in place and rounded as rng.normal(mu n, delta sqrt(n)) rounds it
+        jumps = rng.standard_normal(size)
+        jumps *= np.sqrt(n) * self.delta
+        jumps += self.mu * n
         return diffusion, jumps, n
 
 

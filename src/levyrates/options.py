@@ -387,6 +387,13 @@ def price_call(
     return CallPrice(price=float(price), status="ok", critical=crit)
 
 
+def _check_path_count(paths) -> None:
+    if not isinstance(paths, (int, np.integer)) or isinstance(paths, bool):
+        raise DomainError(f"path count must be an integer, got {paths!r}")
+    if paths < 1000:
+        raise DomainError(f"need at least 1000 paths for a meaningful error bar, got {paths}")
+
+
 def price_call_mc(
     model: RateModel,
     spec: OptionSpec,
@@ -400,10 +407,7 @@ def price_call_mc(
     and averages. Works for any phi, monotone or not. paths must be an
     integer (not a bool) of at least 1000.
     """
-    if not isinstance(paths, (int, np.integer)) or isinstance(paths, bool):
-        raise DomainError(f"path count must be an integer, got {paths!r}")
-    if paths < 1000:
-        raise DomainError(f"need at least 1000 paths for a meaningful error bar, got {paths}")
+    _check_path_count(paths)
     t, T, K = spec.expiry, spec.maturity, spec.strike
     if t == 0.0:
         price = max(float(model.ts.discount_factor(T)) - K, 0.0)

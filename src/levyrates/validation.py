@@ -30,7 +30,7 @@ from .errors import (
 )
 from .levy import GammaFamily, spawn_stream
 from .martingales import ModelState
-from .options import MC_PATHS, OptionSpec, price_call, price_call_mc, solve_critical_level
+from .options import MC_PATHS, OptionSpec, _check_path_count, price_call, price_call_mc, solve_critical_level
 from .quadrature import adaptive_integrate
 from .termstructure import FlatYieldCurve
 
@@ -129,6 +129,7 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
     monotonicities, forward/short-rate consistency, risk-premium sign,
     critical-level residual, and analytic-versus-MC option pricing.
     """
+    _check_path_count(paths)
     # the curve must honor its own contract before anything downstream
     checks = list(validate_term_structure(model.ts, model.quad.tail_epsilon).checks)
     S = model.s_max

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import levyrates as lr
 from levyrates import DomainError, ModelState
-from levyrates.curve import _RULE_NODES, _block_rows, kernel_integral
+from levyrates.curve import _RULE_NODES, _block_rows, _envelope, kernel_integral
 from levyrates.quadrature import jacobi_rule
 
 STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=-0.8), ModelState(t=3.0, xi=1.5)]
@@ -284,6 +284,45 @@ def test_rule_integrals_match_a_one_shot_formula(name, all_figure_models):
     assert np.max(np.abs(logs - ref_log)) <= 1e-15
     assert np.max(np.abs(pair_log - ref_log)) <= 1e-15
     np.testing.assert_allclose(pair_avg, ref_avg, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg", "bump", "constant"])
+def test_envelope_shift_is_the_exact_max(name, all_figure_models, flat2):
+    # the shift the envelope table gives each draw is the largest exponent
+    # phi_i x + base_i, bit for bit; with a few extreme draws the table
+    # may refuse (cells too wide), but whatever it gives is still exact
+    bump = lr.GaussianBumpPhi(height=0.3, center=2.0, width=0.5)
+    tilts = {"bump": bump, "constant": lr.ExpDecayPhi(c=0.3, b=0.0)}
+    model = all_figure_models.get(name) or lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=tilts[name])
+    far = [0.0, 1e4] if name == "gamma" else [-200.0, 200.0]
+    for t in (0.3, 1.0, 2.5):
+        ev = model.evaluator(t)
+        draws = model.fam.sample_increment(t, np.random.default_rng(31), size=20_011)
+        for xs in (draws, np.concatenate([draws, far])):
+            for n in (12, 24, 48):
+                phi, base, _ = ev._rule_data([t, t + 2.0], n)
+                want = (np.multiply.outer(phi, xs) + base[:, None]).max(axis=0)
+                minus_shift = _envelope(phi, base, xs)
+                if xs is draws:
+                    assert minus_shift is not None, (t, n)
+                if minus_shift is not None:
+                    np.testing.assert_array_equal(-minus_shift(xs, np.empty_like(xs)), want)
+
+
+def test_rule_integrals_with_a_refused_table_match_a_one_shot_formula(gbm_model):
+    # two extreme draws widen the grid until the table refuses it; the
+    # call then subtracts each block's own max, still the formula's values
+    t, lowers = 1.0, [1.0, 4.0]
+    ev = gbm_model.evaluator(t)
+    rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
+    draws = gbm_model.fam.sample_increment(t, np.random.default_rng(37), size=2 * rows + 5)
+    xi = np.concatenate([draws, [-200.0, 200.0]])
+    data = ev._rule_data(lowers, _RULE_NODES)
+    assert _envelope(data[0], data[1], xi) is None
+    ref_log, ref_avg = one_shot_rule_integrals(ev, xi, lowers, _RULE_NODES)
+    logs, avgs = ev._rule_integrals(xi, data, True)
+    assert np.max(np.abs(logs - ref_log)) <= 1e-15
+    np.testing.assert_allclose(avgs, ref_avg, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(

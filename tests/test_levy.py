@@ -220,6 +220,25 @@ def test_jd_sample_components():
     assert np.any(counts == 0) and np.any(counts > 0)
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.05, 0.3])
+@pytest.mark.parametrize("size", [None, 1, 7, 200_000])
+def test_jd_components_match_one_normal_draw_bit_for_bit(mu, size):
+    # the in-place jump sum makes the same draws as rng.normal(mu n,
+    # delta sqrt(n)) on an identically seeded stream, and rounds them the
+    # same way, signed zeros included
+    fam = JumpDiffusionFamily(lam=5.0, mu=mu, delta=1.0)
+    for t in (0.25, 1.0, 2.0):
+        mine, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = fam.sample_components(t, mine, size)
+        n = ref.poisson(fam.lam * t, size)
+        diffusion = ref.normal(0.0, math.sqrt(t), size)
+        want = (diffusion, ref.normal(mu * n, np.sqrt(n) * fam.delta), n)
+        for a, b in zip(got, want):
+            assert np.shape(a) == np.shape(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert mine.random() == ref.random()  # both streams moved alike
+
+
 def test_sample_path_grid_validation():
     rng = spawn_stream(0, 0)
     with pytest.raises(DomainError):

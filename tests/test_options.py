@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from levyrates.options import (
     price_call_mc,
     solve_critical_level,
 )
+from levyrates.validation import run_validation
 from oracles import bisect_root, call_price, gamma_log_cofactor, transition_log_density
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -383,3 +385,23 @@ def test_mc_path_count_must_be_an_integer(gbm_model, paths):
 def test_mc_takes_a_numpy_integer_path_count(gbm_model):
     got = price_call_mc(gbm_model, SPECS["gbm"], paths=np.int64(2000), rng=lr.spawn_stream(0, 0))
     assert got == price_call_mc(gbm_model, SPECS["gbm"], paths=2000, rng=lr.spawn_stream(0, 0))
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        (0, "need at least 1000 paths"),
+        (1, "need at least 1000 paths"),
+        (999, "need at least 1000 paths"),
+        (2.5, "path count must be an integer"),
+        (True, "path count must be an integer"),
+        ("5000", "path count must be an integer"),
+    ],
+)
+def test_validation_path_count_has_the_mc_contract(gbm_model, paths, message):
+    # run_validation refuses what price_call_mc refuses, before any draw
+    # and with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            run_validation(gbm_model, paths=paths)
