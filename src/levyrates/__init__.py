@@ -37,7 +37,6 @@ from .quadrature import adaptive_integrate
 from .specialfn import psi_integral_batch, reg_upper_gamma
 from .curve import (
     KernelEvaluator,
-    QuadratureSettings,
     RateModel,
     bond_price,
     bond_volatility,
@@ -86,7 +85,6 @@ __all__ = [
     "adaptive_integrate",
     "reg_upper_gamma",
     "psi_integral_batch",
-    "QuadratureSettings",
     "RateModel",
     "KernelEvaluator",
     "kernel_integral",

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .curve import (
-    QuadratureSettings,
     RateModel,
     bond_price,
     forward_rate,
@@ -67,9 +66,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return cfg
+    # the blocks a config may hold; each subcommand reads those it needs
+    blocks = ("curve", "family", "phi", "quadrature", "price", "simulate", "surface")
+    return _block(cfg, f"config {path}", dict.fromkeys(blocks, lambda block: block))
 
 
 def _list(value) -> list:
@@ -139,11 +138,13 @@ def curve_from_config(cfg) -> FlatYieldCurve:
     return _build(FlatYieldCurve, "flat-curve", y=p["yield"])
 
 
-def quadrature_from_config(cfg) -> QuadratureSettings:
-    if cfg is None:
-        return QuadratureSettings()
-    fields = {"rel_tol": _float, "tail_epsilon": _float, "max_subdivisions": _int}
-    return _build(QuadratureSettings, "quadrature", **_block(cfg, "quadrature", fields))
+def quadrature_from_config(cfg) -> dict:
+    """{} or {"rel_tol": x}, 0 < x < 1, from the optional quadrature block; the range is
+    checked here too, so that `validate` refuses a bad block before its curve report."""
+    p = {} if cfg is None else _block(cfg, "quadrature", {"rel_tol": _float})
+    if not 0.0 < p.get("rel_tol", 0.5) < 1.0:
+        raise ConfigError(f"bad quadrature value rel_tol={p['rel_tol']!r}: must lie in (0, 1)")
+    return p
 
 
 # family tag -> (class, config key -> constructor argument)
@@ -185,7 +186,7 @@ def model_from_config(cfg: dict) -> RateModel:
     phi = phi_from_config(cfg["phi"])
     quad = quadrature_from_config(cfg.get("quadrature"))
     try:
-        return RateModel(ts=ts, fam=fam, phi=phi, quad=quad)
+        return RateModel(ts=ts, fam=fam, phi=phi, **quad)
     except DomainError as exc:
         raise ConfigError(f"model rejected: {exc}") from exc
 
@@ -361,12 +362,12 @@ def cmd_validate(cfg: dict, seed: int, out: Optional[str], args) -> int:
     if "curve" not in cfg:
         raise ConfigError("config is missing the 'curve' block")
     ts = curve_from_config(cfg["curve"])
-    quad = quadrature_from_config(cfg.get("quadrature"))
+    quadrature_from_config(cfg.get("quadrature"))  # a malformed block is an error even here
     header = [
         "# levyrates validate: model invariant suite",
         f"# config_hash={config_hash(cfg, seed)} seed={seed}",
     ]
-    curve_report = validate_term_structure(ts, quad.tail_epsilon)
+    curve_report = validate_term_structure(ts)
     if not curve_report.passed:
         lines = [c.line() for c in curve_report.checks]
         lines.append("FAILED: the initial curve violates its contract; model checks skipped")
@@ -411,23 +412,8 @@ _BENCH_MODELS = {
 _BENCH_RUNS = 3
 
 
-def bench_grid(cfg: Optional[dict]):
-    """(expiries, strike factors, tenor) for the benchmark, 100 points."""
-    blk = (cfg or {}).get("bench")
-    fields = {"expiries": _floats, "strike_factors": _floats, "tenor": _float}
-    p = _block({} if blk is None else blk, "bench", fields)
-    # the gamma driver's one-sided support caps bond prices from below at
-    # P(t,T,0) ~ 0.996 x forward on this grid, so the default strike band
-    # hugs the forward to keep every strike attainable for every family
-    expiries = p.get("expiries", np.linspace(0.5, 3.0, 10).tolist())
-    factors = p.get("strike_factors", np.linspace(0.998, 1.030, 10).tolist())
-    if not expiries or not factors:
-        raise ConfigError("bench needs nonempty expiries and strike_factors")
-    return expiries, factors, p.get("tenor", 2.0)
-
-
-def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:
-    """Time 100 analytic call prices for each driver family.
+def cmd_bench(cfg: None, seed: int, out: Optional[str], args) -> int:
+    """Time 100 analytic call prices for each driver family; reads no config.
 
     Each family is priced _BENCH_RUNS times on a fresh model (cold
     evaluator caches), the runs of the families interleaved, and the table
@@ -436,7 +422,12 @@ def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:
     optional output file carries only the price values so reruns stay
     byte-identical.
     """
-    expiries, factors, tenor = bench_grid(cfg)
+    # the gamma driver's one-sided support caps bond prices from below at
+    # P(t,T,0) ~ 0.996 x forward on this grid, so the strike band hugs the
+    # forward to keep every strike attainable for every family
+    expiries = np.linspace(0.5, 3.0, 10).tolist()
+    factors = np.linspace(0.998, 1.030, 10).tolist()
+    tenor = 2.0
     n = len(expiries) * len(factors)
     best: Dict[str, float] = {}
     rows: Dict[str, list] = {}
@@ -462,7 +453,7 @@ def cmd_bench(cfg: Optional[dict], seed: int, out: Optional[str], args) -> int:
         header = [
             "levyrates bench: analytic call prices on the benchmark grid",
             _UNITS,
-            f"config_hash={config_hash(cfg or {}, seed)} seed={seed}",
+            f"config_hash={config_hash({}, seed)} seed={seed}",
         ]
         table = [row for family in rows.values() for row in family]
         _write_lines(
@@ -484,12 +475,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# subcommand -> (handler, help, the flags beyond --config/--seed/--out it reads)
+# subcommand -> (handler, help, the flags beyond --seed/--out it reads)
 _COMMANDS = {
-    "simulate": (cmd_simulate, "simulate one driver path with bond and short-rate columns (CSV)", ()),
-    "price": (cmd_price, "price bonds, rates, and options at one state (JSON)", ("--mc", "--paths")),
-    "surface": (cmd_surface, "price a call option grid over expiries and strikes (CSV)", ("--mc", "--paths")),
-    "validate": (cmd_validate, "run the model invariant suite", ("--paths",)),
+    "simulate": (cmd_simulate, "simulate one driver path with bond and short-rate columns (CSV)", ("--config",)),
+    "price": (cmd_price, "price bonds, rates, and options at one state (JSON)", ("--config", "--mc", "--paths")),
+    "surface": (
+        cmd_surface, "price a call option grid over expiries and strikes (CSV)", ("--config", "--mc", "--paths")
+    ),
+    "validate": (cmd_validate, "run the model invariant suite", ("--config", "--paths")),
     "bench": (cmd_bench, "time 100 analytic call prices per family", ()),
 }
 
@@ -504,7 +497,8 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     commands = {}
     for name, (_, help_text, flags) in _COMMANDS.items():
         q = commands[name] = sub.add_parser(name, help=help_text)
-        q.add_argument("--config", help="path to the JSON config")
+        if "--config" in flags:
+            q.add_argument("--config", required=True, help="path to the JSON config")
         q.add_argument("--seed", type=int, default=0, help="random seed (unsigned 64-bit)")
         q.add_argument("--out", help="output file path (default: stdout)")
         if "--mc" in flags:
@@ -532,12 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.paths = MC_PATHS
             elif args.paths < 1000:
                 raise ConfigError(f"--paths must be at least 1000, got {args.paths}")
-        if args.command == "bench":
-            cfg = load_config(args.config) if args.config else None
-        else:
-            if not args.config:
-                raise ConfigError(f"{args.command} requires --config")
-            cfg = load_config(args.config)
+        cfg = load_config(args.config) if "config" in args else None
         return _COMMANDS[args.command][0](cfg, args.seed, args.out, args)
     except (ConfigError, DomainError, UnsupportedModelError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -5,7 +5,7 @@ Everything here evaluates ratios of integrals of the form
     int_L^inf rho_s M(t, s, xi) ds,
 
 truncated at the horizon S_max where the initial curve has decayed to
-tail_epsilon of its starting value. The integrand is a product of an
+TAIL_EPSILON of its starting value. The integrand is a product of an
 exponentially decaying density and an exponential tilt in phi_s * xi, so
 all sums run in log space with a max-exponent shift; the realized driver
 value never overflows a price.
@@ -54,10 +54,9 @@ from .quadrature import (
     refine_panels,
     split,
 )
-from .termstructure import FlatYieldCurve
+from .termstructure import TAIL_EPSILON, FlatYieldCurve
 
 __all__ = [
-    "QuadratureSettings",
     "RateModel",
     "KernelEvaluator",
     "kernel_integral",
@@ -117,24 +116,6 @@ def _envelope(phi: np.ndarray, base: np.ndarray, xi: np.ndarray):
     return minus_shift
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances of the quadrature core.
-
-    rel_tol is the per-integral relative error target; tail_epsilon sets
-    the truncation horizon (neglected rho-mass relative to P0(0));
-    max_subdivisions caps the number of panels per evaluator.
-    """
-
-    rel_tol: float = 1e-10
-    tail_epsilon: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.tail_epsilon > 0.0 and self.max_subdivisions > 0):
-            raise DomainError("quadrature settings must all be positive")
-
-
 def _phi_tail_values(phi: PhiFunction, horizon: float) -> np.ndarray:
     """Representative phi values over [horizon, inf) for the tail estimate.
 
@@ -154,21 +135,25 @@ def _phi_tail_values(phi: PhiFunction, horizon: float) -> np.ndarray:
 class RateModel:
     """A rational term-structure model: initial curve, driver, tilt.
 
-    The triple (rho, family, phi) determines every price in the model.
-    Construction validates that the curve is a FlatYieldCurve (the batch
-    kernel's rule is built for its density), that it decays, and that phi
-    stays inside the family's exponent domain across [0, S_max].
+    The triple (rho, family, phi) determines every price in the model;
+    rel_tol, the one numerical setting, is every integral's relative error
+    target. Construction validates 0 < rel_tol < 1, that the curve is a
+    FlatYieldCurve (the batch kernel's rule is built for its density), that
+    it decays, and that phi stays inside the family's exponent domain
+    across [0, S_max].
     """
 
     ts: FlatYieldCurve
     fam: LevyFamily
     phi: PhiFunction
-    quad: QuadratureSettings = field(default_factory=QuadratureSettings)
+    rel_tol: float = 1e-10
     _evaluators: OrderedDict = field(
         default_factory=OrderedDict, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self):
+        if not 0.0 < self.rel_tol < 1.0:  # nan too
+            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not isinstance(self.ts, FlatYieldCurve):
             raise UnsupportedModelError(
                 f"the initial curve must be a FlatYieldCurve, got {type(self.ts).__name__}"
@@ -180,7 +165,7 @@ class RateModel:
 
     @property
     def s_max(self) -> float:
-        return self.ts.truncation_horizon(self.quad.tail_epsilon)
+        return self.ts.truncation_horizon(TAIL_EPSILON)
 
     @property
     def rule_rate(self) -> float:
@@ -303,8 +288,7 @@ class KernelEvaluator:
                 I,
                 E,
                 lambda e: values(*self._node_data(e)),
-                rel_tol=self.model.quad.rel_tol,
-                max_panels=self.model.quad.max_subdivisions,
+                rel_tol=self.model.rel_tol,
                 start=start,
             )
         except QuadratureError as exc:  # name the state; the core knows only its panels
@@ -391,7 +375,7 @@ class KernelEvaluator:
                 return False
             if start < len(edges) - 1:
                 starts.append(start)
-        tol = self.model.quad.rel_tol * (1.0 - 1e-9)
+        tol = self.model.rel_tol * (1.0 - 1e-9)
         for p in probes:
             E = self._base + self._phi * p
             I, err = panel_estimates(edges, np.exp(E - float(np.max(E))))
@@ -515,7 +499,7 @@ class KernelEvaluator:
             raise DomainError(f"driver draws must be finite, got min, mean, max = {probes.tolist()}")
         if probes[0] < fam.support_lower:
             raise DomainError(f"{fam.tag} driver state must be nonnegative, got xi={probes[0]}")
-        tol = self.model.quad.rel_tol
+        tol = self.model.rel_tol
         past = np.array([L >= self.S for L in bounds])[:, None]
 
         def values(n):

@@ -71,8 +71,8 @@ class LevyFamily:
     def require_admissible(self, alpha) -> None:
         arr = np.asarray(alpha, dtype=float)
         lo, hi, guard = self._guarded_domain()
-        if np.any(arr <= lo + guard) or np.any(arr >= hi - guard):
-            bad = float(arr.flat[int(np.argmax((arr <= lo + guard) | (arr >= hi - guard)))])
+        if not (np.all(arr > lo + guard) and np.all(arr < hi - guard)):  # a nan is never inside
+            bad = float(arr.flat[int(np.argmin((arr > lo + guard) & (arr < hi - guard)))])
             raise DomainError(
                 f"{self.tag}: exponent argument {bad!r} outside admissible open interval "
                 f"({lo!r}, {hi!r}) with guard band {DOMAIN_GUARD}"
@@ -84,7 +84,7 @@ class LevyFamily:
         return self._exponent_impl(alpha)
 
     def sample_increment(self, t: float, rng: np.random.Generator, size=None):
-        """One exact draw (or `size` draws) of X_t, t > 0."""
+        """One exact draw (or `size` draws) of X_t, 0 < t < inf."""
         raise NotImplementedError
 
 
@@ -136,7 +136,6 @@ class JumpDiffusionFamily(LevyFamily):
         return float(out) if np.ndim(alpha) == 0 else out
 
     def sample_increment(self, t, rng, size=None):
-        _check_horizon(t)
         diffusion, jumps, _n = self.sample_components(t, rng, size)
         diffusion += jumps  # in place: no third array of one float per draw
         return diffusion
@@ -250,8 +249,8 @@ class VarianceGammaFamily(LevyFamily):
 
 
 def _check_horizon(t) -> None:
-    if not (t > 0.0):
-        raise DomainError(f"sampling horizon must be positive, got {t}")
+    if not 0.0 < t < math.inf:  # nan too
+        raise DomainError(f"sampling horizon must be positive and finite, got {t}")
 
 
 def sample_path(fam: LevyFamily, grid, rng: np.random.Generator) -> np.ndarray:

@@ -108,8 +108,8 @@ class GaussianBumpPhi(PhiFunction):
     monotonicity: ClassVar[str] = "other"
 
     def __post_init__(self):
-        if not (self.width > 0.0):
-            raise DomainError(f"bump width must be positive, got {self.width}")
+        if not (math.isfinite(self.height) and math.isfinite(self.center) and 0.0 < self.width < math.inf):
+            raise DomainError(f"bump needs a finite height and center and a finite positive width, got {self}")
 
     def __call__(self, s):
         d = np.asarray(s, dtype=float) - self.center

@@ -365,16 +365,14 @@ def price_call(
 
     rho = model.ts.density
     S = model.s_max
-    quad = model.quad
 
     def outer(lower: float) -> float:
         val, _ = adaptive_integrate(
             lambda s: np.asarray(rho(s), dtype=float) * _itm_weight(model, t, crit.xi_star, s, jd_n_max),
             lower,
             S,
-            rel_tol=quad.rel_tol,
+            rel_tol=model.rel_tol,
             abs_tol=1e-14,
-            max_panels=quad.max_subdivisions,
             points=dyadic_breakpoints(lower, S),
         )
         return val

@@ -25,9 +25,11 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 __all__ = ["gauss_legendre_nodes", "jacobi_rule", "adaptive_integrate"]
+
+MAX_PANELS = 2000  # panels one refinement may reach before it gives up
 
 _RULE_CACHE: dict = {}
 
@@ -146,7 +148,6 @@ def refine_panels(
     values: Callable[[np.ndarray], np.ndarray],
     *,
     rel_tol: float,
-    max_panels: int,
     abs_tol: float = 0.0,
     start: int = 0,
 ) -> Tuple[np.ndarray, float, float]:
@@ -156,7 +157,7 @@ def refine_panels(
     values(e) returns the integrand on panel_nodes(e) for new panels.
     Converged when sum(E) <= max(rel_tol * |sum(I)|, abs_tol); returns
     (edges, sum(I), sum(E)). Raises QuadratureError when all panels,
-    those before start included, reach max_panels first, or when the
+    those before start included, reach MAX_PANELS first, or when the
     worst panel cannot be bisected.
     """
     while True:
@@ -165,7 +166,7 @@ def refine_panels(
         if err <= target:
             return edges, total, err
         n = len(edges) - 1
-        if n >= max_panels:
+        if n >= MAX_PANELS:
             raise QuadratureError(
                 f"no convergence after {n} panels on [{edges[start]}, {edges[-1]}]: "
                 f"err={err:.3e} vs target {target:.3e}",
@@ -187,18 +188,19 @@ def adaptive_integrate(
     *,
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
-    max_panels: int = 2000,
     points: Optional[Iterable[float]] = None,
 ) -> Tuple[float, float]:
-    """Integrate f over [a, b]; returns (value, error estimate).
+    """Integrate f over the finite interval [a, b]; returns (value, error estimate).
 
     Convergence: sum of panel error estimates <= max(rel_tol * |value|,
     abs_tol). `points` adds interior breakpoints to the initial panels
-    (defaults to an 8-way equal split). Raises QuadratureError when the
-    panel budget is exhausted first, or when the worst panel has shrunk to
-    floating-point resolution and its estimate can no longer fall.
+    (defaults to an 8-way equal split). Raises DomainError for a bound that
+    is not finite, QuadratureError when MAX_PANELS panels are reached first
+    or the worst panel has shrunk to floating-point resolution.
     """
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
     if not b > a:
         if b == a:
             return 0.0, 0.0
@@ -214,7 +216,5 @@ def adaptive_integrate(
         return np.asarray(f(panel_nodes(e).ravel()), dtype=float).reshape(-1, 24)
 
     I, E = panel_estimates(edges, values(edges))
-    _, total, err = refine_panels(
-        edges, I, E, values, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels
-    )
+    _, total, err = refine_panels(edges, I, E, values, rel_tol=rel_tol, abs_tol=abs_tol)
     return total, err

@@ -25,12 +25,13 @@ __all__ = ["reg_upper_gamma", "reg_lower_gamma", "psi_integral_batch"]
 
 def _regularized_gamma(f, a, x):
     """scipy's f (gammainc or gammaincc) behind the package's domain errors,
-    for a > 0, x >= 0; scalars give a float, clipped to [0, 1] like arrays."""
+    for 0 < a < inf, 0 <= x <= inf (Q(a, inf) = 0, P(a, inf) = 1), never
+    nan; scalars give a float, clipped to [0, 1] like arrays."""
     a_arr = np.asarray(a, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(a_arr <= 0.0):
-        raise DomainError("incomplete gamma shape a must be positive")
-    if np.any(x_arr < 0.0):
+    if not np.all((a_arr > 0.0) & (a_arr < math.inf)):
+        raise DomainError("incomplete gamma shape a must be positive and finite")
+    if not np.all(x_arr >= 0.0):
         raise DomainError("incomplete gamma argument x must be nonnegative")
     out = np.clip(f(a_arr, x_arr), 0.0, 1.0)
     return float(out) if np.ndim(a) == 0 and np.ndim(x) == 0 else out
@@ -74,10 +75,8 @@ def _log_weight_window(c: float):
     v_hi = v_star + 1.0
     step = 1.0
     while log_weight(v_hi) > peak - _WINDOW_DROP:
-        v_hi += step
+        v_hi += step  # ends: the e^v term kills the right tail
         step *= 2.0
-        if step > 1e6:  # pragma: no cover - e^v term kills the right tail
-            raise NumericalError("mixture weight upper cutoff not found")
     return v_lo, v_hi
 
 
@@ -91,6 +90,10 @@ _BATCH_RULE_CACHE: dict = {}
 _LAGUERRE_MIN_SHAPE = 10.0
 _LAGUERRE_MAX_SHAPE = 170.0
 _LAGUERRE_NODES = 64
+# Above this shape the log-grid nodes step over the weight's peak, about
+# 1/sqrt(c) wide in v: where the normal CDF moves by O(1) across the peak,
+# the rule's error reaches 1e-9 at c = 510, and grows from there.
+_MAX_SHAPE = 500.0
 
 
 def _batch_rule(c: float):
@@ -135,18 +138,24 @@ def _batch_rule(c: float):
 
 
 def psi_integral_batch(a, b, c: float) -> np.ndarray:
-    """Fixed-rule evaluation of psi(a, b, c) over arrays of (a, b).
+    """Fixed-rule evaluation of psi(a, b, c) over arrays of (a, b), for
+    0 < c <= _MAX_SHAPE.
 
     The weights sum to one, so the result is a convex combination of normal
     CDF values. Used by the pricing loop, where one call covers all outer
     quadrature nodes at once; an adaptive scalar evaluation in the test
-    suite serves as its accuracy check.
+    suite serves as its accuracy check. An infinite a or b keeps its limit,
+    N(+-inf) = 1 or 0; a nan, or a and b of opposite infinities, is a
+    DomainError.
     """
-    if not (c > 0.0):
-        raise DomainError(f"mixture shape c must be positive, got {c}")
+    if not 0.0 < c <= _MAX_SHAPE:  # nan too
+        raise DomainError(f"mixture shape c must lie in (0, {_MAX_SHAPE:g}], got {c}")
     root, wn = _batch_rule(c)
     a_arr = np.asarray(a, dtype=float)[..., None]
     b_arr = np.asarray(b, dtype=float)[..., None]
-    with np.errstate(over="ignore"):  # a / root -> inf at far-left nodes is intended
+    with np.errstate(over="ignore", invalid="ignore"):  # a / root -> inf is intended; nan is refused below
         vals = ndtr(a_arr / root[None, :] + b_arr * root[None, :])
-    return vals @ wn
+    out = vals @ wn
+    if np.isnan(out).any():
+        raise DomainError("psi arguments a and b must not be nan, nor opposite infinities")
+    return out

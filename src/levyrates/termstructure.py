@@ -3,7 +3,7 @@
 The curve is the time-zero discount curve P0(t) together with its density
 rho(t) = -dP0/dt. When the yield is positive, rho is a probability density
 on [0, inf); every pricing integral in the package is a rho-weighted
-average truncated at the horizon where the remaining mass is negligible.
+average truncated at the horizon where the remaining mass is TAIL_EPSILON.
 
 rho is supplied in closed form, never by differencing tabulated data,
 because the quadrature core needs a smooth and cheap integrand, and the
@@ -21,6 +21,8 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = ["FlatYieldCurve"]
+
+TAIL_EPSILON = 1e-12  # rho-mass, relative to P0(0), beyond every truncation horizon
 
 
 def _require_nonnegative_time(t) -> None:
@@ -64,7 +66,7 @@ class FlatYieldCurve:
             raise DomainError("log density needs a positive flat yield")
         return math.log(self.y) - self.y * np.asarray(t, dtype=float)
 
-    def truncation_horizon(self, epsilon: float = 1e-12) -> float:
+    def truncation_horizon(self, epsilon: float = TAIL_EPSILON) -> float:
         """Smallest S with P0(S) <= epsilon * P0(0).
 
         Integrals over [t, inf) are truncated at this horizon; the

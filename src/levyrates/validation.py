@@ -32,7 +32,7 @@ from .levy import GammaFamily, spawn_stream
 from .martingales import ModelState
 from .options import MC_PATHS, OptionSpec, _check_path_count, price_call, price_call_mc, solve_critical_level
 from .quadrature import adaptive_integrate
-from .termstructure import FlatYieldCurve
+from .termstructure import TAIL_EPSILON, FlatYieldCurve
 
 __all__ = ["CheckResult", "ValidationReport", "validate_term_structure", "run_validation"]
 
@@ -73,17 +73,17 @@ def _check(checks: List[CheckResult], name: str, passed, measured, bound, detail
     checks.append(CheckResult(name, bool(passed), float(measured), float(bound), detail))
 
 
-def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> ValidationReport:
+def validate_term_structure(ts: FlatYieldCurve) -> ValidationReport:
     """The initial curve's contract, as checks named curve_*.
 
     On a logarithmic grid out to the horizon: P0(0) = 1, strict
-    decrease, decay to epsilon, positive density, unit total rho-mass,
+    decrease, decay to TAIL_EPSILON, positive density, unit total rho-mass,
     and agreement of rho with a central difference of P0 to 1e-6
     relative. Failures are reported, not raised.
     """
     checks: List[CheckResult] = []
     try:
-        S = ts.truncation_horizon(epsilon)
+        S = ts.truncation_horizon(TAIL_EPSILON)
         has_horizon = True
     except DomainError:
         S = 100.0  # fallback grid for curves that never decay
@@ -97,7 +97,7 @@ def validate_term_structure(ts: FlatYieldCurve, epsilon: float = 1e-12) -> Valid
     dP = np.diff(P)
     _check(checks, "curve_strictly_decreasing", np.all(dP < 0.0), dP.max() if dP.size else 0.0, 0.0)
 
-    floor = epsilon * P[0] * (1.0 + 1e-9)
+    floor = TAIL_EPSILON * P[0] * (1.0 + 1e-9)
     _check(checks, "curve_decays_to_zero", has_horizon and P[-1] <= floor, P[-1], floor)
 
     _check(checks, "curve_density_positive", np.all(rho > 0.0), rho.min(), 0.0)
@@ -131,7 +131,7 @@ def run_validation(model: RateModel, seed: int = 0, paths: int = MC_PATHS) -> Va
     """
     _check_path_count(paths)
     # the curve must honor its own contract before anything downstream
-    checks = list(validate_term_structure(model.ts, model.quad.tail_epsilon).checks)
+    checks = list(validate_term_structure(model.ts).checks)
     S = model.s_max
     t = min(1.0, 0.25 * S)
     T = min(t + 2.0, 0.5 * S)

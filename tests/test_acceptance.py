@@ -450,12 +450,7 @@ def test_criterion_10_convergence_stability(all_figure_models, jd5_model, vg5_mo
         worst = 0.0
         n_prices = 0
         for name, model in models.items():
-            tight_quad = lr.QuadratureSettings(
-                rel_tol=model.quad.rel_tol / 2.0,
-                tail_epsilon=model.quad.tail_epsilon,
-                max_subdivisions=model.quad.max_subdivisions,
-            )
-            tight = lr.RateModel(ts=model.ts, fam=model.fam, phi=model.phi, quad=tight_quad)
+            tight = lr.RateModel(ts=model.ts, fam=model.fam, phi=model.phi, rel_tol=model.rel_tol / 2.0)
             for t, T, K in _rep_options(name):
                 spec = OptionSpec(expiry=t, maturity=T, strike=K)
                 kwargs = {}

@@ -240,6 +240,8 @@ def test_exit_1_bad_flag_values(tmp_path, capsys):
         pytest.param(["validate", "--config", FIG1, "--mc"], id="validate-mc"),
         pytest.param(["bench", "--mc"], id="bench-mc"),
         pytest.param(["bench", "--paths", "5000"], id="bench-paths"),
+        pytest.param(["bench", "--config", FIG1], id="bench-config"),
+        pytest.param(["price"], id="price-without-config"),
         pytest.param(["price", "--config", FIG1, "--paths", "5000"], id="price-paths-without-mc"),
         pytest.param(
             ["surface", "--config", FIG5_JD, "--paths", "5000"], id="surface-paths-without-mc"
@@ -267,7 +269,8 @@ def test_usage_error_shows_the_subcommand_usage(argv, capsys):
     # top-level list of subcommands
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"usage: levyrates {argv[0]} [-h] [--config CONFIG]" in err
+    assert f"usage: levyrates {argv[0]} [-h]" in err
+    assert ("--config CONFIG" in err) == (argv[0] != "bench")  # bench reads no config
     assert "{simulate," not in err
 
 
@@ -293,13 +296,17 @@ def test_help_exits_0(capsys):
 
 
 def test_exit_2_quadrature_budget_exhausted(tmp_path, capsys):
-    # a tolerance the panel budget cannot reach: the run must fail loudly
-    # with the numerical exit code, not return a degraded price
+    # a tolerance below rounding: the panels split up to their budget, and
+    # the run must fail loudly with the numerical exit code, not return a
+    # degraded price
     doc = _model_block()
-    doc["quadrature"] = {"rel_tol": 1e-15, "max_subdivisions": 5}
+    doc["curve"] = {"form": "flat", "yield": 0.02}
+    doc["family"] = {"family": "gbm"}
+    doc["quadrature"] = {"rel_tol": 1e-17}
     doc["price"] = {"t": 1.0, "xi": 0.2, "maturities": [3.0]}
     assert main(["price", "--config", _write(tmp_path, "c.json", doc)]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "no convergence after 2000 panels" in err
 
 
 def test_exit_3_validation_failure(tmp_path):
@@ -320,6 +327,15 @@ def test_exit_3_validation_failure(tmp_path):
     )
 
 
+def test_validate_refuses_a_bad_quadrature_block_before_the_curve_report(tmp_path, capsys):
+    doc = _model_block()
+    doc["curve"] = {"form": "flat", "yield": -0.01}  # fails its own contract: exit 3 otherwise
+    for quad in ({"rel_tol": 0.0}, {"rel_tol": 1.0}, {"rel_tol": "abc"}, {"tail_epsilon": 1e-12}):
+        doc["quadrature"] = quad
+        assert main(["validate", "--config", _write(tmp_path, "c.json", doc)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_rejects_horizon_overrun(tmp_path):
     doc = _model_block()
     doc["simulate"] = {"maturity": 10_000.0, "steps": 10}
@@ -332,7 +348,7 @@ def test_simulate_rejects_horizon_overrun(tmp_path):
 def _boundary_config():
     """A small valid config with every block each subcommand reads."""
     doc = _model_block()
-    doc["quadrature"] = {"rel_tol": 1e-10, "tail_epsilon": 1e-12, "max_subdivisions": 2000}
+    doc["quadrature"] = {"rel_tol": 1e-10}
     doc["price"] = {
         "t": 1.0,
         "xi": 0.1,
@@ -343,8 +359,15 @@ def _boundary_config():
     }
     doc["simulate"] = {"maturity": 1.0, "steps": 4}
     doc["surface"] = {"bond_maturity": 3.0, "expiries": [1.0], "strikes": [0.95]}
-    doc["bench"] = {"expiries": [1.0], "strike_factors": [1.0], "tenor": 2.0}
     return doc
+
+
+# settings the config format no longer has, with values it used to accept:
+# the quadrature block's panel budget and truncation level, and a bench grid
+_REMOVED = {
+    "quadrature": {"tail_epsilon": 1e-12, "max_subdivisions": 2000},
+    "bench": {"expiries": [1.0], "strike_factors": [1.0], "tenor": 2.0},
+}
 
 
 # the subcommand that reads each block; the model blocks go through `price`
@@ -356,7 +379,6 @@ _BLOCK_COMMAND = {
     "price": "price",
     "simulate": "simulate",
     "surface": "surface",
-    "bench": "bench",
 }
 # non-numeric values only: none of them can start a run of arbitrary size
 _MALFORMED = (None, "abc", {"k": "v"})
@@ -370,17 +392,23 @@ def _boundary_cases():
         if block == "price":
             option = ("price", "options", 0)
             paths += [option] + [option + (key,) for key in base["price"]["options"][0]]
+        paths += [(block, key) for key in _REMOVED.get(block, ())]
         for path in paths:
             for value in _MALFORMED:
-                if value is None and path in (("quadrature",), ("bench",)):
+                if value is None and path == ("quadrature",):
                     continue  # a null block means "use the defaults"
                 cases.append(pytest.param(command, path, value, id=f"{'.'.join(map(str, path))}={value!r}"))
+    # a removed block takes no value at all: `price` refuses it
+    for path in [("bench",)] + [("bench", key) for key in _REMOVED["bench"]]:
+        for value in _MALFORMED:
+            if path != ("bench",) or value is not None:
+                cases.append(pytest.param("price", path, value, id=f"{'.'.join(path)}={value!r}"))
     # numbers the run cannot use, and values Python's int and float would
     # take: a fraction for a count (truncated) and a boolean (read as 1)
     cases += [
         pytest.param("simulate", ("simulate", "steps"), float("inf"), id="simulate.steps=inf"),
-        pytest.param("bench", ("bench", "expiries"), [], id="bench.expiries=[]"),
-        pytest.param("bench", ("bench", "strike_factors"), [], id="bench.strike_factors=[]"),
+        pytest.param("price", ("bench", "expiries"), [], id="bench.expiries=[]"),
+        pytest.param("price", ("bench", "strike_factors"), [], id="bench.strike_factors=[]"),
         pytest.param("simulate", ("simulate", "steps"), 4.7, id="simulate.steps=4.7"),
         pytest.param("simulate", ("simulate", "steps"), True, id="simulate.steps=True"),
         pytest.param(
@@ -405,19 +433,40 @@ def _boundary_cases():
 
 def test_boundary_config_is_valid(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", _boundary_config())
-    for command in ("price", "simulate", "surface", "bench"):
+    for command in ("price", "simulate", "surface"):
         assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
+    assert main(["bench"]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, path, value", _boundary_cases())
 def test_exit_1_malformed_value(tmp_path, capsys, command, path, value):
     doc = _boundary_config()
+    doc.setdefault(path[0], {})  # a removed block starts empty
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     assert main([command, "--config", _write(tmp_path, "c.json", doc)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, key", [("quadrature", "tail_epsilon"), ("quadrature", "max_subdivisions"), ("bench", None)]
+)
+def test_exit_1_removed_setting(tmp_path, capsys, block, key):
+    # a removed quadrature setting at its last default, and a bench block
+    # the config once accepted, are refused by name by every subcommand
+    # that reads a config
+    doc = _boundary_config()
+    if key is None:
+        doc[block] = _REMOVED[block]
+    else:
+        doc[block][key] = _REMOVED[block][key]
+    cfg = _write(tmp_path, "c.json", doc)
+    for command in ("price", "simulate", "surface", "validate"):
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unexpected") and f"'{key or block}'" in err
 
 
 def test_exit_1_config_not_utf8(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import levyrates as lr
 from levyrates import DomainError, ModelState
 from levyrates.curve import _RULE_NODES, _block_rows, _envelope, kernel_integral
-from levyrates.quadrature import jacobi_rule
+from levyrates.quadrature import MAX_PANELS, jacobi_rule
 
 STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=-0.8), ModelState(t=3.0, xi=1.5)]
 GAMMA_STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=0.0), ModelState(t=3.0, xi=1.5)]
@@ -417,6 +417,42 @@ def _bench_model(name):
     return lr.RateModel(ts=lr.FlatYieldCurve(y=0.03), fam=fam, phi=phi)
 
 
+def mp_forward_rate(model, t, xi, T):
+    """rho_T M(t, T, xi) / int_T^S_max rho_s M(t, s, xi) ds at 30 digits,
+    from the closed forms, the integral by Gauss-Legendre panels."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        y = mpmath.mpf(model.ts.y)
+
+        def f(s):
+            phi = _mp_phi(model.phi, s)
+            return y * mpmath.exp(-y * s + phi * xi - t * _mp_psi(model.fam, phi))
+
+        pts = [mpmath.mpf(T)] + [T + d for d in 2.0 ** np.arange(-2, 12) if T + d < model.s_max]
+        integral = mpmath.quad(f, pts + [mpmath.mpf(model.s_max)], method="gauss-legendre")
+        return float(f(mpmath.mpf(T)) / integral)
+
+
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_forward_and_short_rate_match_mpmath(name):
+    # short_rate (T = t) and forward_rate at T = t + 3 on the bench models,
+    # at the min, median and max of 10^4 exact draws. The oracle stops at
+    # S_max like the model, so the gap is the panel quadrature's alone: the
+    # panels refine until the 16- and 8-point sums agree to rel_tol = 1e-10,
+    # which tracks the 8-point error, and the 16-point sum lands at rounding
+    # (1.3e-15 at worst here); 1e-13 leaves room for the rounding of the
+    # log-space sums and still sits three digits inside the contract.
+    model = _bench_model(name)
+    t = 1.0
+    draws = model.fam.sample_increment(t, np.random.default_rng(31), size=10_000)
+    for x in (float(draws.min()), float(np.median(draws)), float(draws.max())):
+        state = ModelState(t=t, xi=x)
+        assert lr.short_rate(model, state) == pytest.approx(mp_forward_rate(model, t, x, t), rel=1e-13)
+        want = mp_forward_rate(model, t, x, t + 3.0)
+        assert lr.forward_rate(model, state, t + 3.0) == pytest.approx(want, rel=1e-13)
+
+
 def rule_nodes(ev, xi, bounds):
     """Nodes per bound of the rule that the batch check picks for xi."""
     phi = ev._rule_nodes(np.asarray(xi, dtype=float), bounds, False)[0][0]
@@ -488,7 +524,7 @@ def test_batch_rule_error_names_the_state(flat2):
         ts=flat2,
         fam=lr.BrownianFamily(),
         phi=lr.ExpDecayPhi(c=0.3, b=0.02),
-        quad=lr.QuadratureSettings(rel_tol=1e-17),
+        rel_tol=1e-17,
     )
     with pytest.raises(lr.QuadratureError, match=r"t=1\.0, bounds=\[1\.0, 3\.0\], xi=") as exc_info:
         model.evaluator(1.0).log_integral_batch(np.array([-0.5, 0.1, 0.7]), [1.0, 3.0])
@@ -675,7 +711,7 @@ def test_split_path_matches_mpmath(xi):
         ts=lr.FlatYieldCurve(y=y),
         fam=lr.BrownianFamily(),
         phi=lr.ExpDecayPhi(c=c, b=b),
-        quad=lr.QuadratureSettings(rel_tol=1e-13),
+        rel_tol=1e-13,
     )
     ev = model.evaluator(t)
     panels = len(ev._edges) - 1
@@ -697,17 +733,16 @@ def test_split_path_matches_mpmath(xi):
 
 
 def test_refine_budget_error_names_the_state(flat2):
-    # an unreachable tolerance on a tiny panel budget: the error must say
-    # which valuation time and driver value failed
-    model = lr.RateModel(
-        ts=flat2,
-        fam=lr.BrownianFamily(),
-        phi=lr.ExpDecayPhi(c=0.3, b=0.02),
-        quad=lr.QuadratureSettings(rel_tol=1e-15, max_subdivisions=5),
-    )
-    with pytest.raises(lr.QuadratureError, match=r"t=1\.0, lower=3\.0, xi=0\.2") as exc_info:
-        model.evaluator(1.0).refine(0.2, 3.0)
-    assert exc_info.value.panels >= 5
+    # a tolerance below rounding: after the panels that bond_price refines
+    # from t, those from T split up to the budget, and the error must say
+    # which valuation time, bound and driver value failed
+    model = lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.02), rel_tol=1e-17)
+    ev = model.evaluator(1.0)
+    ev.refine(0.2, 1.0)
+    message = r"t=1\.0, lower=3\.0, xi=0\.2\): no convergence after 2000 panels"
+    with pytest.raises(lr.QuadratureError, match=message) as exc_info:
+        ev.refine(0.2, 3.0)
+    assert exc_info.value.panels == MAX_PANELS
     assert exc_info.value.rel_err > 0.0
 
 
@@ -718,11 +753,11 @@ def test_evaluator_cache_is_bounded(flat2):
     assert len(model._evaluators) <= 32
 
 
-def test_quadrature_settings_validation():
-    with pytest.raises(DomainError):
-        lr.QuadratureSettings(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        lr.QuadratureSettings(max_subdivisions=0)
+def test_model_rel_tol_validation(flat2):
+    # the model's one numerical setting must lie in (0, 1)
+    for rel_tol in (0.0, 1.0, math.nan, math.inf, -1e-10):
+        with pytest.raises(DomainError, match="rel_tol must lie in"):
+            lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=0.3, b=0.02), rel_tol=rel_tol)
 
 
 def test_model_rejects_inadmissible_phi_range(flat2):

@@ -106,6 +106,15 @@ def test_domain_check_is_vectorized():
         GAMMA.exponent(np.array([0.1, 0.5, 2.5]))
 
 
+@pytest.mark.parametrize("fam", ALL, ids=lambda f: f.tag)
+def test_domain_check_rejects_nan(fam):
+    # a nan lies inside no interval: the exponent raises, never returns nan
+    with pytest.raises(DomainError, match="exponent argument nan"):
+        fam.exponent(math.nan)
+    with pytest.raises(DomainError, match="exponent argument nan"):
+        fam.exponent(np.array([0.1, math.nan, 0.2]))
+
+
 # -- parameter validation -----------------------------------------------------
 
 
@@ -249,6 +258,18 @@ def test_sample_path_grid_validation():
         sample_path(GBM, [], rng)
     with pytest.raises(DomainError):
         GBM.sample_increment(0.0, rng)
+
+
+@pytest.mark.parametrize("fam", ALL, ids=lambda f: f.tag)
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_sampling_horizon_must_be_finite(fam, t):
+    # an infinite horizon gave +-inf draws (gbm, gamma, vg) or numpy's bare
+    # "lam value too large" (jd); a nan one gave nan draws
+    rng = spawn_stream(0, 0)
+    with pytest.raises(DomainError, match="sampling horizon must be positive and finite"):
+        fam.sample_increment(t, rng, 3)
+    with pytest.raises(DomainError, match="sampling horizon must be positive and finite"):
+        sample_path(fam, [1.0, t], rng)
 
 
 def test_spawn_stream_reproducible_and_disjoint():

@@ -121,6 +121,22 @@ def test_inadmissible_tilt_rejected():
         martingale_value(fam, phi, ModelState(t=1.0, xi=0.5), 1.0)
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [
+        BrownianFamily(),
+        JumpDiffusionFamily(lam=5.0, mu=0.0, delta=1.0),
+        GammaFamily(m=1.0, kappa=0.5),
+        VarianceGammaFamily(mu=0.5, sigma=0.3, m=5.0),
+    ],
+    ids=lambda f: f.tag,
+)
+def test_nan_maturity_rejected(fam):
+    # phi(nan) is nan, which the exponent's domain check refuses
+    with pytest.raises(DomainError):
+        martingale_value(fam, PHI, ModelState(t=1.0, xi=0.5), math.nan)
+
+
 def test_model_state_validation():
     with pytest.raises(DomainError):
         ModelState(t=-1.0, xi=0.0)
@@ -178,6 +194,23 @@ def test_gaussian_bump_phi():
     assert bump.tail_sup_abs(5.0) == pytest.approx(abs(bump(5.0)))
     with pytest.raises(DomainError):
         GaussianBumpPhi(height=0.4, center=3.0, width=0.0)
+
+
+@pytest.mark.parametrize(
+    "height, center, width",
+    [
+        (math.nan, 3.0, 0.5),
+        (math.inf, 3.0, 0.5),
+        (0.4, math.nan, 0.5),
+        (0.4, -math.inf, 0.5),
+        (0.4, 3.0, math.inf),
+        (0.4, 3.0, math.nan),
+    ],
+)
+def test_gaussian_bump_phi_rejects_non_finite_parameters(height, center, width):
+    # a nan height built a model whose bond price failed deep in the panels
+    with pytest.raises(DomainError, match="finite height and center and a finite positive width"):
+        GaussianBumpPhi(height=height, center=center, width=width)
 
 
 def test_phi_from_config():

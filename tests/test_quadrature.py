@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from levyrates.errors import QuadratureError
-from levyrates.quadrature import adaptive_integrate, gauss_legendre_nodes
+from levyrates.errors import DomainError, QuadratureError
+from levyrates.quadrature import MAX_PANELS, adaptive_integrate, gauss_legendre_nodes
 
 
 def test_rule_nodes_weights():
@@ -63,8 +64,8 @@ def test_budget_exhaustion_raises_with_diagnostics():
         return rng.standard_normal(np.shape(x))
 
     with pytest.raises(QuadratureError) as exc_info:
-        adaptive_integrate(noisy, 0.0, 1.0, rel_tol=1e-14, max_panels=32)
-    assert exc_info.value.panels == 32
+        adaptive_integrate(noisy, 0.0, 1.0, rel_tol=1e-14)
+    assert exc_info.value.panels == MAX_PANELS
 
 
 def test_panel_at_resolution_raises():
@@ -92,3 +93,12 @@ def test_abs_tol_floor():
     val, err = adaptive_integrate(lambda x: x, -1.0, 1.0, rel_tol=1e-12, abs_tol=1e-13)
     assert abs(val) < 1e-13
     assert err <= 1e-13
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_bounds_must_be_finite(a, b):
+    # an infinite bound gave bare RuntimeWarnings from the panel nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="integration bounds must be finite"):
+            adaptive_integrate(np.exp, a, b)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,3 +193,35 @@ def test_psi_args_domain():
         PsiArgs(a=0.0, b=0.0, c=0.0)
     with pytest.raises(DomainError):
         PsiArgs(a=float("inf"), b=0.0, c=1.0)
+
+
+def test_reg_gamma_rejects_nan_and_keeps_the_infinite_limit():
+    # a nan argument returned nan
+    for a, x in ((1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            reg_upper_gamma(a, x)
+        with pytest.raises(DomainError):
+            reg_lower_gamma(a, x)
+    assert reg_upper_gamma(2.0, math.inf) == 0.0
+    assert reg_lower_gamma(2.0, math.inf) == 1.0
+
+
+def test_psi_batch_shape_limit():
+    # the log-grid rule stops resolving the weight's peak near c = 510
+    # (CHANGES.md); c = inf raised a bare ValueError and c = 1e10 warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (510.0, 1e10, math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError, match="mixture shape c must lie in"):
+                psi_integral_batch(0.0, 0.0, c)
+        assert psi_integral_batch(0.0, 0.0, 500.0)[0] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_psi_batch_rejects_nan_and_keeps_infinite_limits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((math.nan, 0.0), (0.0, math.nan), (math.inf, -math.inf)):
+            with pytest.raises(DomainError, match="must not be nan"):
+                psi_integral_batch(np.array([0.1, a]), np.array([0.2, b]), 2.0)
+        got = psi_integral_batch(np.array([math.inf, -math.inf, 0.3]), np.array([0.0, 0.0, math.inf]), 2.0)
+    assert got == pytest.approx([1.0, 0.0, 1.0], abs=1e-15)  # weights sum to 1 up to rounding
