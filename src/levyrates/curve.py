@@ -263,39 +263,51 @@ class KernelEvaluator:
 
     # -- refinement and evaluation -------------------------------------------
 
-    def refine(self, xi: float, lower: Optional[float] = None) -> None:
-        """Split panels on [lower, S_max] until the integral for this xi
-        meets rel_tol. Safe to call repeatedly; panels never merge.
+    def refine(self, xi: float, *lowers: float) -> None:
+        """Split panels until the integral for this xi from each lower bound
+        to S_max meets rel_tol, bound by bound in the order given (from t
+        when no bound is given). Safe to call repeatedly; panels never merge.
 
+        One exp pass over every node, shifted by the largest exponent,
+        gives the panel estimates; a bound met on unchanged panels reads
+        them from its first panel on, and a split makes the next bound
+        redo the pass. So a later bound reads estimates from an earlier
+        bound's pass, which can differ in the last bit from a pass started
+        at the bound; that matters only for an estimate that ties rel_tol.
         rel_tol governs the quadrature error on the truncated interval;
-        the neglected tail beyond S_max is bounded separately (see
-        log_tail_bound) and cannot be reduced by splitting.
+        splitting cannot reduce the tail beyond S_max.
         """
-        lower = self.t if lower is None else float(lower)
-        self.ensure_breakpoint(lower)
-        start = self._first_panel(lower)
-        if start >= len(self._edges) - 1:
-            return
-        shift = float(np.max(self._base + self._phi * xi))
+        xi = float(xi)
 
         def values(base, phi):
             return np.exp(base + phi * xi - shift)
 
-        I, E = panel_estimates(self._edges[start:], values(self._base[start:], self._phi[start:]))
-        try:
-            edges, _, _ = refine_panels(
-                self._edges,
-                I,
-                E,
-                lambda e: values(*self._node_data(e)),
-                rel_tol=self.model.rel_tol,
-                start=start,
-            )
-        except QuadratureError as exc:  # name the state; the core knows only its panels
-            exc.args = (f"kernel quadrature (t={self.t}, lower={lower}, xi={xi}): {exc}",)
-            raise
-        if edges is not self._edges:
-            self._set_edges(edges)
+        pass_edges = None
+        for lower in lowers or (self.t,):
+            lower = float(lower)
+            self.ensure_breakpoint(lower)
+            start = self._first_panel(lower)
+            if start >= len(self._edges) - 1:
+                continue
+            if pass_edges is not self._edges:
+                pass_edges = self._edges
+                z = self._base + self._phi * xi
+                shift = float(np.max(z))
+                I, E = panel_estimates(pass_edges, np.exp(z - shift))
+            try:
+                edges, _, _ = refine_panels(
+                    pass_edges,
+                    I[start:],
+                    E[start:],
+                    lambda e: values(*self._node_data(e)),
+                    rel_tol=self.model.rel_tol,
+                    start=start,
+                )
+            except QuadratureError as exc:  # name the state; the core knows only its panels
+                exc.args = (f"kernel quadrature (t={self.t}, lower={lower}, xi={xi}): {exc}",)
+                raise
+            if edges is not pass_edges:
+                self._set_edges(edges)
 
     def _offsets(self, lowers: Sequence[float]) -> Dict[float, int]:
         """Node offset of each lower bound, registering the bounds as
@@ -356,51 +368,6 @@ class KernelEvaluator:
         pairs = self._integrals(np.array([float(xi)]), [self.t, float(T)], True)
         (log_t, avg_t), (log_T, avg_T) = pairs[self.t], pairs[float(T)]
         return float(log_T[0] - log_t[0]), float(avg_T[0] - avg_t[0])
-
-    def _resolves(self, probes: np.ndarray, lowers: Sequence[float]) -> bool:
-        """True when refine(p, L) would split nothing for any probe p and
-        lower bound L: each L is already an edge and each integral meets
-        rel_tol on the current panels.
-
-        One exp pass and one set of panel estimates per probe serve every
-        bound. Sums from them can differ from refine's, which start at the
-        bound, in the last bits, so the test keeps a relative margin of
-        1e-9 and leaves a near tie to refine itself.
-        """
-        edges = self._edges
-        starts = []
-        for L in lowers:
-            start = self._first_panel(L)
-            if self.t < L < self.S and edges[start] != L:  # not yet an edge
-                return False
-            if start < len(edges) - 1:
-                starts.append(start)
-        tol = self.model.rel_tol * (1.0 - 1e-9)
-        for p in probes:
-            E = self._base + self._phi * p
-            I, err = panel_estimates(edges, np.exp(E - float(np.max(E))))
-            for start in starts:
-                if not float(err[start:].sum()) <= tol * abs(float(I[start:].sum())):
-                    return False
-        return True
-
-    def prepare(self, xi_probes, lowers: Sequence[float]) -> None:
-        """Refine panels for a batch: every probe xi at every lower bound.
-
-        Probes should cover the extremes and the bulk of the draws (min,
-        max, a central value); the exponent is linear in xi, so panels
-        that resolve the extreme tilts resolve everything between. When
-        the current panels already resolve every pair, nothing is split;
-        otherwise refine runs for each pair, bound by bound, so the panels
-        come out the same either way.
-        """
-        probes = np.atleast_1d(np.asarray(xi_probes, dtype=float))
-        lowers = [float(L) for L in lowers]
-        if self._resolves(probes, lowers):
-            return
-        for L in lowers:
-            for p in probes:
-                self.refine(float(p), L)
 
     # -- batch kernel: Gauss-Jacobi rule in u = exp(-beta (s - L)) -----------
 
@@ -542,7 +509,7 @@ class KernelEvaluator:
     def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """log kernel integrals for an array of xi at several lower bounds,
         on the Gauss-Jacobi rule of the module docstring minus the same rule
-        from S_max (no panels, so no prepare()), with the nodes _rule_nodes
+        from S_max (no panels, so no refine), with the nodes _rule_nodes
         checks. Every xi gets its exact value on that rule, in blocks of
         about 1 MiB (_BLOCK_FLOATS), so the memory a call needs beyond its
         outputs does not grow with the batch.

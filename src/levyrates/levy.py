@@ -103,7 +103,7 @@ class BrownianFamily(LevyFamily):
         return float(out) if np.ndim(alpha) == 0 else out
 
     def sample_increment(self, t, rng, size=None):
-        _check_horizon(t)
+        _check_horizon(t, rng)
         return rng.normal(0.0, math.sqrt(t), size)
 
 
@@ -146,7 +146,7 @@ class JumpDiffusionFamily(LevyFamily):
         Exposed separately so path diagnostics can condition on whether a
         step actually contained jumps.
         """
-        _check_horizon(t)
+        _check_horizon(t, rng)
         n = rng.poisson(self.lam * t, size)
         diffusion = rng.normal(0.0, math.sqrt(t), size)
         # sum of n iid Normal(mu, delta^2) collapses to one normal draw, made
@@ -186,7 +186,7 @@ class GammaFamily(LevyFamily):
         return float(out) if np.ndim(alpha) == 0 else out
 
     def sample_increment(self, t, rng, size=None):
-        _check_horizon(t)
+        _check_horizon(t, rng)
         return rng.gamma(self.m * t, self.kappa, size)
 
 
@@ -238,7 +238,7 @@ class VarianceGammaFamily(LevyFamily):
         return float(out) if np.ndim(alpha) == 0 else out
 
     def sample_increment(self, t, rng, size=None):
-        _check_horizon(t)
+        _check_horizon(t, rng)
         g1 = rng.gamma(self.m * t, 1.0, size)
         g2 = rng.gamma(self.m * t, 1.0, size)
         # in place, as kappa1 g1 - kappa2 g2 with no temporaries
@@ -248,9 +248,12 @@ class VarianceGammaFamily(LevyFamily):
         return g1
 
 
-def _check_horizon(t) -> None:
-    if not 0.0 < t < math.inf:  # nan too
+def _check_horizon(t, rng) -> None:
+    """DomainError unless 0 < t < inf (nan too) and rng is a numpy Generator."""
+    if not 0.0 < t < math.inf:
         raise DomainError(f"sampling horizon must be positive and finite, got {t}")
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
 
 
 def sample_path(fam: LevyFamily, grid, rng: np.random.Generator) -> np.ndarray:
@@ -273,6 +276,10 @@ def spawn_stream(seed: int, index: int = 0) -> np.random.Generator:
     """Deterministic generator for stream `index` derived from `seed`.
 
     Parallel workers get independent streams by index; results merged in
-    index order are reproducible regardless of scheduling.
+    index order are reproducible regardless of scheduling. Both must be
+    nonnegative integers (not bools), else DomainError.
     """
+    for name, v in (("seed", seed), ("index", index)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            raise DomainError(f"stream {name} must be a nonnegative integer, got {v!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))

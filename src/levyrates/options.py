@@ -148,13 +148,13 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
     """Find xi* with |P(t,T,xi*) - K| <= 1e-12 by bracket expansion and a
     safeguarded Newton solve on log P - log K.
 
-    The panelization is refined at each bracket endpoint, then frozen for
-    the root solve so the solver sees one smooth deterministic function of
-    xi. Each step costs one kernel pass, which gives log P and its exact
-    slope Phi_tT - Phi_tt together. Raises StrikeOutOfRangeError when K is
-    not attainable over the driver's support, UnsupportedModelError for
-    non-monotone phi, NumericalError when the root misses the residual
-    contract.
+    The panelization is refined from t and from T at each bracket endpoint
+    (ev.refine(x, t, T)), then frozen for the root solve so the solver sees
+    one smooth deterministic function of xi. Each step costs one kernel
+    pass, which gives log P and its exact slope Phi_tT - Phi_tt together.
+    Raises StrikeOutOfRangeError when K is not attainable over the driver's
+    support, UnsupportedModelError for non-monotone phi, NumericalError
+    when the root misses the residual contract.
     """
     orient = _orientation(model)
     t, T, K = spec.expiry, spec.maturity, spec.strike
@@ -168,16 +168,13 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
         log_p = ev.log_bond_and_slope(xi, T)[0]
         return math.exp(log_p), log_p - log_k
 
-    def refine_at(xi: float) -> None:
-        ev.prepare([xi], (t, T))
-
     lo_support = model.fam.support_lower
     sign = 1.0 if orient == "upper" else -1.0  # dP/dxi sign
 
     a = max(lo_support, -1.0)
     b = 1.0
-    refine_at(a)
-    refine_at(b)
+    ev.refine(a, t, T)
+    ev.refine(b, t, T)
     (Pa, fa), (Pb, fb) = P(a), P(b)
     # grow the bracket until K is enclosed; P is monotone so only the
     # deficient side needs pushing
@@ -194,14 +191,14 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
                 f"strike {K} not bracketed by xi = {-_XI_CAP:g}",
                 side="always_itm" if P(a)[0] > K else "always_otm",
             )
-        refine_at(a)
+        ev.refine(a, t, T)
         Pa, fa = P(a)
     while (Pb - K) * sign < 0.0:
         b *= 2.0
         if b > _XI_CAP:
             side = "always_itm" if P(b)[0] > K else "always_otm"
             raise StrikeOutOfRangeError(f"strike {K} not bracketed by xi = {_XI_CAP:g}", side=side)
-        refine_at(b)
+        ev.refine(b, t, T)
         Pb, fb = P(b)
 
     def newton() -> Tuple[float, int]:
@@ -238,7 +235,7 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
     xi_star, iterations = newton()
 
     # honesty check with refinement re-enabled at the root
-    refine_at(xi_star)
+    ev.refine(xi_star, t, T)
     residual = abs(P(xi_star)[0] - K)
     if residual > _RESIDUAL_TOL:
         xi_star, more = newton()

@@ -195,9 +195,14 @@ def adaptive_integrate(
     Convergence: sum of panel error estimates <= max(rel_tol * |value|,
     abs_tol). `points` adds interior breakpoints to the initial panels
     (defaults to an 8-way equal split). Raises DomainError for a bound that
-    is not finite, QuadratureError when MAX_PANELS panels are reached first
-    or the worst panel has shrunk to floating-point resolution.
+    is not finite, a tolerance that is nan, negative or infinite, or two
+    zero tolerances; QuadratureError when MAX_PANELS panels are reached
+    first or the worst panel has shrunk to floating-point resolution.
     """
+    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf) or rel_tol == abs_tol == 0.0:
+        raise DomainError(
+            f"tolerances must be finite, nonnegative and not both zero, got rel_tol={rel_tol}, abs_tol={abs_tol}"
+        )
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")

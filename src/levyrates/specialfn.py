@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .quadrature import gauss_legendre_nodes
 
 __all__ = ["reg_upper_gamma", "reg_lower_gamma", "psi_integral_batch"]
@@ -70,8 +70,6 @@ def _log_weight_window(c: float):
     while log_weight(v_lo) > peak - _WINDOW_DROP:
         v_lo -= step
         step *= 2.0
-        if step > 1e18:  # pragma: no cover - weight always decays left
-            raise NumericalError("mixture weight lower cutoff not found")
     v_hi = v_star + 1.0
     step = 1.0
     while log_weight(v_hi) > peak - _WINDOW_DROP:
@@ -92,7 +90,10 @@ _LAGUERRE_MAX_SHAPE = 170.0
 _LAGUERRE_NODES = 64
 # Above this shape the log-grid nodes step over the weight's peak, about
 # 1/sqrt(c) wide in v: where the normal CDF moves by O(1) across the peak,
-# the rule's error reaches 1e-9 at c = 510, and grows from there.
+# the rule's error reaches 1e-9 at c = 510, and grows from there. Below
+# the floor the window, about 45/c wide, outgrows memory: 13,312 nodes at
+# c = 0.1, 1.68 M at c = 1e-3.
+_MIN_SHAPE = 0.1
 _MAX_SHAPE = 500.0
 
 
@@ -124,11 +125,7 @@ def _batch_rule(c: float):
         half = 0.5 * (edges[1] - edges[0])
         v = (mid[:, None] + half * x16[None, :]).ravel()
         wn = (half * w16[None, :] * np.exp(c * v - np.exp(v) - math.lgamma(c)).reshape(n_panels, 16)).ravel()
-        # For small c the window reaches far left; exp(v) can underflow to
-        # exactly zero there. Keep the nodes strictly positive so that
-        # a / sqrt(u) stays well defined (inf for a != 0, and 0 for a == 0,
-        # matching the u -> 0+ limit of the integrand either way).
-        u = np.maximum(np.exp(v), np.finfo(float).tiny)
+        u = np.exp(v)  # v > -515 for c >= _MIN_SHAPE, so no node underflows to 0
     # Renormalize so the rule is an exact convex combination: constants are
     # integrated exactly and the result stays inside [0, 1].
     wn = wn / wn.sum()
@@ -139,7 +136,7 @@ def _batch_rule(c: float):
 
 def psi_integral_batch(a, b, c: float) -> np.ndarray:
     """Fixed-rule evaluation of psi(a, b, c) over arrays of (a, b), for
-    0 < c <= _MAX_SHAPE.
+    _MIN_SHAPE <= c <= _MAX_SHAPE.
 
     The weights sum to one, so the result is a convex combination of normal
     CDF values. Used by the pricing loop, where one call covers all outer
@@ -148,8 +145,8 @@ def psi_integral_batch(a, b, c: float) -> np.ndarray:
     N(+-inf) = 1 or 0; a nan, or a and b of opposite infinities, is a
     DomainError.
     """
-    if not 0.0 < c <= _MAX_SHAPE:  # nan too
-        raise DomainError(f"mixture shape c must lie in (0, {_MAX_SHAPE:g}], got {c}")
+    if not _MIN_SHAPE <= c <= _MAX_SHAPE:  # nan too
+        raise DomainError(f"mixture shape c must lie in [{_MIN_SHAPE:g}, {_MAX_SHAPE:g}], got {c}")
     root, wn = _batch_rule(c)
     a_arr = np.asarray(a, dtype=float)[..., None]
     b_arr = np.asarray(b, dtype=float)[..., None]

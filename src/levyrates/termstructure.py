@@ -26,8 +26,8 @@ TAIL_EPSILON = 1e-12  # rho-mass, relative to P0(0), beyond every truncation hor
 
 
 def _require_nonnegative_time(t) -> None:
-    if np.any(np.asarray(t) < 0.0):
-        raise DomainError("time must be nonnegative (years)")
+    if not np.all(np.asarray(t) >= 0.0):  # nan too
+        raise DomainError("time must be nonnegative and not nan (years)")
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,8 @@ def test_batch_matches_scalar_integrals(vg_model):
     xi = np.array([-2.0, -0.3, 0.0, 0.7, 2.4])
     lowers = [t, 3.0]
     ev = vg_model.evaluator(t)
-    ev.prepare([float(xi.min()), 0.0, float(xi.max())], lowers)
+    for probe in (float(xi.min()), 0.0, float(xi.max())):
+        ev.refine(probe, *lowers)
     batch = ev.log_integral_batch(xi, lowers)
     for L in lowers:
         for i, x in enumerate(xi):
@@ -215,7 +216,8 @@ def test_batch_across_block_boundaries(name, all_figure_models):
     t, lowers = 1.0, [1.0, 4.0]
     ev = model.evaluator(t)
     draws = model.fam.sample_increment(t, np.random.default_rng(11), size=4000)
-    ev.prepare([float(draws.min()), float(np.median(draws)), float(draws.max())], lowers)
+    for probe in (float(draws.min()), float(np.median(draws)), float(draws.max())):
+        ev.refine(probe, *lowers)
     rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
     xi = draws[: 2 * rows + 7]
     assert xi.size == 2 * rows + 7
@@ -453,6 +455,22 @@ def test_forward_and_short_rate_match_mpmath(name):
         assert lr.forward_rate(model, state, t + 3.0) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_bond_price_matches_mpmath(name):
+    # P(t, T) = K(T) / K(t) from two 30-digit kernels on the bench models,
+    # at the min, median and max of 10^4 exact draws, T = t + 3; both sides
+    # stop at S_max. The panels meet rel_tol = 1e-10 on the 8-point sums,
+    # so the 16-point sums land at rounding (4.4e-16 at worst here); 1e-13
+    # leaves room for the log-space sums and sits three digits inside the
+    # contract.
+    model = _bench_model(name)
+    t, T = 1.0, 4.0
+    draws = model.fam.sample_increment(t, np.random.default_rng(37), size=10_000)
+    for x in (float(draws.min()), float(np.median(draws)), float(draws.max())):
+        want = math.exp(mp_log_kernel(model, t, x, T) - mp_log_kernel(model, t, x, t))
+        assert lr.bond_price(model, ModelState(t=t, xi=x), T) == pytest.approx(want, rel=1e-13)
+
+
 def rule_nodes(ev, xi, bounds):
     """Nodes per bound of the rule that the batch check picks for xi."""
     phi = ev._rule_nodes(np.asarray(xi, dtype=float), bounds, False)[0][0]
@@ -663,10 +681,11 @@ def test_breakpoint_registration_idempotent(gbm_model):
     assert len(ev._edges) == n
 
 
+@pytest.mark.parametrize("lowers", [(1.0, 3.0), (3.0, 1.0)], ids=["t-T", "T-t"])
 @pytest.mark.parametrize("xi, warm, splits", [(0.3, True, False), (25.0, True, True), (0.3, False, True)])
-def test_prepare_leaves_the_panels_of_refine(xi, warm, splits, flat2):
-    # prepare checks every bound in one pass and refines only when one needs
-    # it; either way the panels must be those of refine at t, then at T
+def test_refine_of_several_bounds_leaves_the_panels_of_one_refine_per_bound(xi, warm, splits, lowers, flat2):
+    # one call shares its exp pass across bounds until a panel splits; the
+    # panels must be those of one refine per bound, in the order given
     def evaluator():
         model = lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.5))
         ev = model.evaluator(1.0)
@@ -675,13 +694,13 @@ def test_prepare_leaves_the_panels_of_refine(xi, warm, splits, flat2):
             ev.refine(0.0, 3.0)
         return ev
 
-    prepared, refined = evaluator(), evaluator()
-    before = prepared._edges
-    prepared.prepare([xi], (1.0, 3.0))
-    refined.refine(xi, 1.0)
-    refined.refine(xi, 3.0)
-    assert np.array_equal(prepared._edges, refined._edges)
-    assert (prepared._edges is not before) == splits
+    shared, single = evaluator(), evaluator()
+    before = shared._edges
+    shared.refine(xi, *lowers)
+    for L in lowers:
+        single.refine(xi, L)
+    assert np.array_equal(shared._edges, single._edges)
+    assert (shared._edges is not before) == splits
 
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
@@ -689,7 +708,7 @@ def test_bond_slope_is_the_bond_volatility(name, all_figure_models):
     model = all_figure_models[name]
     t, T, xi = 1.0, 3.0, 0.4
     ev = model.evaluator(t)
-    ev.prepare([xi], (t, T))
+    ev.refine(xi, t, T)
     log_p, slope = ev.log_bond_and_slope(xi, T)
     # the same sums as the two log integrals of bond_price, bit for bit
     assert math.exp(log_p) == lr.bond_price(model, ModelState(t=t, xi=xi), T)

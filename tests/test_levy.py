@@ -190,6 +190,19 @@ def test_sampler_moments(fam, mean_rate, var_rate):
     assert abs(sq.mean() - var_rate * t) <= 4.0 * se_var
 
 
+@pytest.mark.parametrize("fam,mean_rate,var_rate", SAMPLER_MOMENTS, ids=lambda p: getattr(p, "tag", ""))
+def test_sample_path_increments_have_the_law_of_their_gaps(fam, mean_rate, var_rate):
+    # X over each gap of an uneven grid, the first from 0, standardised by
+    # the mean and variance rates above, must have mean 0 and variance 1
+    gaps = np.resize([0.05, 0.2, 0.5, 1.3], 20_000)
+    path = sample_path(fam, np.cumsum(gaps), spawn_stream(2025, 0))
+    z = (np.diff(path, prepend=0.0) - mean_rate * gaps) / np.sqrt(var_rate * gaps)
+    n = z.size
+    assert abs(z.mean()) <= 4.0 * z.std(ddof=1) / math.sqrt(n)
+    sq = z * z
+    assert abs(sq.mean() - 1.0) <= 4.0 * sq.std(ddof=1) / math.sqrt(n)
+
+
 @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.tag)
 def test_mgf_matches_exponent(fam):
     # E[exp(a X_t)] = exp(t psi(a)) with a chosen so exp(2a X) is integrable
@@ -270,6 +283,32 @@ def test_sampling_horizon_must_be_finite(fam, t):
         fam.sample_increment(t, rng, 3)
     with pytest.raises(DomainError, match="sampling horizon must be positive and finite"):
         sample_path(fam, [1.0, t], rng)
+
+
+@pytest.mark.parametrize("fam", ALL, ids=lambda f: f.tag)
+@pytest.mark.parametrize("rng", [None, np.random.RandomState(0), 7], ids=["None", "RandomState", "int"])
+def test_samplers_need_a_numpy_generator(fam, rng):
+    # a None rng raised "'NoneType' object has no attribute 'normal'"
+    with pytest.raises(DomainError, match="rng must be a numpy.random.Generator"):
+        fam.sample_increment(1.0, rng, 3)
+    with pytest.raises(DomainError, match="rng must be a numpy.random.Generator"):
+        sample_path(fam, [0.5, 1.0], rng)
+
+
+@pytest.mark.parametrize(
+    "seed, index",
+    [(-1, 0), (0, -1), (1.5, 0), (0, 2.0), (True, 0), (0, False), ("3", 0), (None, 0)],
+)
+def test_spawn_stream_takes_nonnegative_integers(seed, index):
+    # a negative seed or index raised numpy's bare ValueError, a float a
+    # TypeError, and a bool or None made a stream
+    with pytest.raises(DomainError, match="must be a nonnegative integer"):
+        spawn_stream(seed, index)
+
+
+def test_spawn_stream_takes_numpy_integers():
+    a = spawn_stream(np.int64(42), np.uint8(1)).normal(size=5)
+    assert np.array_equal(a, spawn_stream(42, 1).normal(size=5))
 
 
 def test_spawn_stream_reproducible_and_disjoint():

@@ -387,6 +387,18 @@ def test_mc_takes_a_numpy_integer_path_count(gbm_model):
     assert got == price_call_mc(gbm_model, SPECS["gbm"], paths=2000, rng=lr.spawn_stream(0, 0))
 
 
+def test_mc_needs_a_numpy_generator(gbm_model):
+    # a None rng raised "'NoneType' object has no attribute 'normal'"
+    with pytest.raises(DomainError, match="rng must be a numpy.random.Generator"):
+        price_call_mc(gbm_model, SPECS["gbm"], 1000, None)
+
+
+def test_validation_refuses_a_negative_seed(gbm_model):
+    # numpy's bare ValueError came out of the stream's SeedSequence
+    with pytest.raises(DomainError, match="stream seed must be a nonnegative integer"):
+        run_validation(gbm_model, seed=-1, paths=1000)
+
+
 @pytest.mark.parametrize(
     "paths, message",
     [

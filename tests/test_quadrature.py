@@ -102,3 +102,21 @@ def test_bounds_must_be_finite(a, b):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="integration bounds must be finite"):
             adaptive_integrate(np.exp, a, b)
+
+
+@pytest.mark.parametrize(
+    "rel_tol, abs_tol",
+    [
+        (math.nan, 0.0),
+        (1e-10, math.nan),
+        (-1e-10, 0.0),
+        (1e-10, -1e-14),
+        (math.inf, 0.0),
+        (1e-10, math.inf),
+        (0.0, 0.0),
+    ],
+)
+def test_tolerances_must_be_usable(rel_tol, abs_tol):
+    # rel_tol=nan split to MAX_PANELS panels and then raised "target nan"
+    with pytest.raises(DomainError, match="tolerances must be finite, nonnegative and not both zero"):
+        adaptive_integrate(np.exp, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol)

@@ -208,13 +208,16 @@ def test_reg_gamma_rejects_nan_and_keeps_the_infinite_limit():
 
 def test_psi_batch_shape_limit():
     # the log-grid rule stops resolving the weight's peak near c = 510
-    # (CHANGES.md); c = inf raised a bare ValueError and c = 1e10 warned
+    # (CHANGES.md); c = inf raised a bare ValueError and c = 1e10 warned.
+    # Below c = 0.1 its window, about 45/c wide, outgrows memory: 1.68 M
+    # nodes at c = 1e-3, and a MemoryError at c = 1e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for c in (510.0, 1e10, math.inf, math.nan, 0.0):
+        for c in (510.0, 1e10, math.inf, math.nan, 0.0, 0.0999, 1e-3, 1e-10, 1e-20):
             with pytest.raises(DomainError, match="mixture shape c must lie in"):
                 psi_integral_batch(0.0, 0.0, c)
-        assert psi_integral_batch(0.0, 0.0, 500.0)[0] == pytest.approx(0.5, abs=1e-15)
+        for c in (0.1, 500.0):
+            assert psi_integral_batch(0.0, 0.0, c)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_psi_batch_rejects_nan_and_keeps_infinite_limits():

@@ -49,6 +49,19 @@ def test_negative_time_rejected():
         c.density(np.array([1.0, -2.0]))
 
 
+def test_nan_time_rejected():
+    # a nan time slipped past a test written as t < 0 and priced as nan
+    c = lr.FlatYieldCurve(y=0.03)
+    for f in (c.discount_factor, c.density, c.log_density):
+        with pytest.raises(DomainError, match="time must be nonnegative and not nan"):
+            f(math.nan)
+        with pytest.raises(DomainError, match="time must be nonnegative and not nan"):
+            f(np.array([1.0, math.nan]))
+    for t, T in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            c.forward_price(t, T)
+
+
 def test_zero_yield_unconstructible():
     with pytest.raises(DomainError):
         lr.FlatYieldCurve(y=0.0)
