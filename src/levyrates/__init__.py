@@ -33,10 +33,8 @@ from .martingales import (
     log_martingale_value,
     martingale_value,
 )
-from .quadrature import adaptive_integrate
-from .specialfn import psi_integral_batch, reg_upper_gamma
 from .curve import (
-    KernelEvaluator,
+    KernelEvaluator,  # not in __all__: benchmark/spans.py patches it as lr.KernelEvaluator
     RateModel,
     bond_price,
     bond_volatility,
@@ -51,7 +49,6 @@ from .options import (
     CallPrice,
     CriticalLevel,
     OptionSpec,
-    bond_price_at,
     price_call,
     price_call_mc,
     solve_critical_level,
@@ -82,11 +79,7 @@ __all__ = [
     "ModelState",
     "martingale_value",
     "log_martingale_value",
-    "adaptive_integrate",
-    "reg_upper_gamma",
-    "psi_integral_batch",
     "RateModel",
-    "KernelEvaluator",
     "kernel_integral",
     "bond_price",
     "short_rate",
@@ -98,7 +91,6 @@ __all__ = [
     "OptionSpec",
     "CriticalLevel",
     "CallPrice",
-    "bond_price_at",
     "solve_critical_level",
     "price_call",
     "price_call_mc",

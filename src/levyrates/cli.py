@@ -45,15 +45,6 @@ from .options import MC_PATHS, OptionSpec, price_call, price_call_mc
 from .termstructure import FlatYieldCurve
 from .validation import run_validation, validate_term_structure
 
-__all__ = [
-    "main",
-    "model_from_config",
-    "family_from_config",
-    "phi_from_config",
-    "load_config",
-    "config_hash",
-]
-
 
 # -- config ------------------------------------------------------------------
 

@@ -56,19 +56,6 @@ from .quadrature import (
 )
 from .termstructure import TAIL_EPSILON, FlatYieldCurve
 
-__all__ = [
-    "RateModel",
-    "KernelEvaluator",
-    "kernel_integral",
-    "bond_price",
-    "short_rate",
-    "forward_rate",
-    "phi_average",
-    "bond_volatility",
-    "risk_aversion",
-    "risk_premium",
-]
-
 # floats per block of the batch kernel (1 MiB). A block holds as many
 # draws as fit, rounded down to a multiple of 16 and at least 16: the
 # BLAS matvec sums rows in groups, and a row outside a group can round
@@ -93,11 +80,10 @@ _RULE_MAX_NODES = 384
 _ENVELOPE_POINTS = 257
 
 
-def _envelope(phi: np.ndarray, base: np.ndarray, xi: np.ndarray):
+def _envelope(phi: np.ndarray, base: np.ndarray, lo: float, hi: float):
     """f(x, out) writing -max_i (phi_i x + base_i) into out for x in
-    [min, max] of xi, or None; see KernelEvaluator._rule_integrals."""
-    lo = float(xi.min())
-    h = (float(xi.max()) - lo) / (_ENVELOPE_POINTS - 1) or 1.0
+    [lo, hi], or None; see KernelEvaluator._rule_integrals."""
+    h = (hi - lo) / (_ENVELOPE_POINTS - 1) or 1.0
     if not 1e-300 < h < 1e300:
         return None
     top = (np.multiply.outer(phi, lo + h * np.arange(_ENVELOPE_POINTS)) + base[:, None]).argmax(axis=0)
@@ -279,8 +265,11 @@ class KernelEvaluator:
         """
         xi = float(xi)
 
-        def values(base, phi):
-            return np.exp(base + phi * xi - shift)
+        def values(base, phi):  # split nodes can top the pass's shift, and exp overflows past 709
+            x = base + phi * xi - shift
+            if x.max() >= 700.0:
+                raise QuadratureError(f"a split node's exponent lies {x.max():.3g} above the shift")
+            return np.exp(x)
 
         pass_edges = None
         for lower in lowers or (self.t,):
@@ -395,9 +384,10 @@ class KernelEvaluator:
                 W[j, -n:] = -1.0
         return phi, base, W
 
-    def _rule_integrals(self, xi: np.ndarray, data, phi_average: bool):
+    def _rule_integrals(self, xi: np.ndarray, data, phi_average: bool, span=None):
         """(log int_L^S rho M, phi average over [L, S] or None), each of
-        shape (bounds, draws), on the rule whose node data _rule_data gave.
+        shape (bounds, draws), on the rule whose node data _rule_data gave;
+        calls of more than 16 draws need span, the (min, max) of xi.
 
         Blocks of _BLOCK_FLOATS floats, nodes x draws, take three passes:
         [phi, base, 1] times the draws over ones over minus their shifts
@@ -416,7 +406,7 @@ class KernelEvaluator:
         k, nodes = W.shape[0], phi.size
         if phi_average:
             W = np.vstack([W, W * phi])
-        minus_shift = _envelope(phi, base, xi) if xi.size > 16 else None
+        minus_shift = _envelope(phi, base, *span) if xi.size > 16 else None
         A = np.column_stack([phi, base] if minus_shift is None else [phi, base, np.ones(nodes)])
         out = np.empty((k, xi.size))
         avg = np.empty((k, xi.size)) if phi_average else None
@@ -447,18 +437,15 @@ class KernelEvaluator:
         return out, avg
 
     def _rule_nodes(self, xi: np.ndarray, bounds: Sequence[float], phi_average: bool):
-        """(node data, _rule_integrals at the probes) of the first n-point
-        rule from _RULE_NODES on, doubling, at which n and n/2 nodes agree
-        to rel_tol in every log integral (and phi average, when asked for)
-        at the batch's min, mean and max draw, each node set built once.
-        Only a bound at or past S_max may give a value that is not finite
-        (an empty integral). An empty batch gets the _RULE_NODES rule and
-        no probe values. Raises DomainError when a probe is not finite or
-        lies below the driver's support, QuadratureError past
-        _RULE_MAX_NODES.
+        """(node data, probes, _rule_integrals at the probes) of the first
+        n-point rule from _RULE_NODES on, doubling, at which n and n/2
+        nodes agree to rel_tol in every log integral (and phi average, when
+        asked for) at the probes, the batch's min, mean and max draw, each
+        node set built once. Only a bound at or past S_max may give a value
+        that is not finite (an empty integral). Raises DomainError when a
+        probe is not finite or lies below the driver's support,
+        QuadratureError past _RULE_MAX_NODES.
         """
-        if xi.size == 0:
-            return self._rule_data(bounds, _RULE_NODES), None
         with np.errstate(over="ignore"):  # a mean that overflows is refused below
             probes = np.array([xi.min(), xi.mean(), xi.max()])
         fam = self.model.fam
@@ -480,7 +467,7 @@ class KernelEvaluator:
             with np.errstate(invalid="ignore"):  # -inf - -inf, nan
                 ok = past | (np.abs(fine - coarse) <= tol)
             if ok.all():
-                return data, got
+                return data, probes, got
             if 2 * n > _RULE_MAX_NODES:
                 j, i = np.argwhere(~ok)[0]
                 gap = abs(fine[j, i] - coarse[j, i])
@@ -499,11 +486,13 @@ class KernelEvaluator:
     def _batch(self, xi, lowers: Sequence[float], phi_average: bool) -> dict:
         xi = np.asarray(xi, dtype=float)
         bounds = list(dict.fromkeys(float(L) for L in lowers))
-        data, probed = self._rule_nodes(xi, bounds, phi_average)
+        if xi.size == 0:
+            return {L: np.empty(0) for L in bounds}
+        data, probes, probed = self._rule_nodes(xi, bounds, phi_average)
         if xi.size == 1:  # its probes are the draw, padded to 16 columns as it would be
             out, avg = (None if v is None else v[:, :1] for v in probed)
         else:
-            out, avg = self._rule_integrals(xi, data, phi_average)
+            out, avg = self._rule_integrals(xi, data, phi_average, (float(probes[0]), float(probes[2])))
         return {L: (avg if phi_average else out)[j] for j, L in enumerate(bounds)}
 
     def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
@@ -582,9 +571,12 @@ def forward_rate(model: RateModel, state: ModelState, T: float) -> float:
     log_num = float(model.ts.log_density(T)) + float(
         log_martingale_value(model.fam, model.phi, state, T)
     )
-    f = math.exp(log_num - ev.log_integral(state.xi, T))
+    try:
+        f = math.exp(log_num - ev.log_integral(state.xi, T))
+    except OverflowError:
+        f = math.inf
     if not (f > 0.0) or not math.isfinite(f):
-        raise NumericalError(f"forward rate came out non-positive ({f}); quadrature inconsistency")
+        raise NumericalError(f"forward rate came out {f}, not positive and finite; quadrature inconsistency")
     return f
 
 

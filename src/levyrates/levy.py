@@ -20,17 +20,6 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "LevyFamily",
-    "BrownianFamily",
-    "JumpDiffusionFamily",
-    "GammaFamily",
-    "VarianceGammaFamily",
-    "sample_path",
-    "spawn_stream",
-    "DOMAIN_GUARD",
-]
-
 # Open domain endpoints are excluded with this guard band: the exponent
 # diverges at the gamma/VG boundary and a bare "<" admits catastrophic
 # cancellation one ulp inside it.
@@ -62,11 +51,6 @@ class LevyFamily:
         lo, hi = self.exponent_domain()
         width = min(1.0, hi - lo if math.isfinite(hi - lo) else 1.0)
         return lo, hi, DOMAIN_GUARD * width
-
-    def contains(self, alpha: float) -> bool:
-        """True if alpha is admissible, i.e. inside the guarded open domain."""
-        lo, hi, guard = self._guarded_domain()
-        return (alpha > lo + guard) and (alpha < hi - guard)
 
     def require_admissible(self, alpha) -> None:
         arr = np.asarray(alpha, dtype=float)

@@ -24,15 +24,6 @@ import numpy as np
 from .errors import DomainError
 from .levy import LevyFamily
 
-__all__ = [
-    "PhiFunction",
-    "ExpDecayPhi",
-    "GaussianBumpPhi",
-    "ModelState",
-    "martingale_value",
-    "log_martingale_value",
-]
-
 
 class PhiFunction(ABC):
     """Deterministic tilt function s -> phi_s with shape metadata.

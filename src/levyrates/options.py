@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import gammaln, ndtr
 
-from .curve import RateModel, bond_price
+from .curve import RateModel
 from .errors import (
     DomainError,
     NumericalError,
@@ -45,19 +45,8 @@ from .levy import (
     JumpDiffusionFamily,
     VarianceGammaFamily,
 )
-from .martingales import ModelState
 from .quadrature import adaptive_integrate, dyadic_breakpoints
 from .specialfn import psi_integral_batch, reg_lower_gamma, reg_upper_gamma
-
-__all__ = [
-    "OptionSpec",
-    "CriticalLevel",
-    "CallPrice",
-    "bond_price_at",
-    "solve_critical_level",
-    "price_call",
-    "price_call_mc",
-]
 
 _XI_CAP = 1e9  # bracket expansion limit before a strike is declared unreachable
 _RESIDUAL_TOL = 1e-12
@@ -115,11 +104,6 @@ class CallPrice:
     price: float
     status: str
     critical: Optional[CriticalLevel] = None
-
-
-def bond_price_at(model: RateModel, t: float, T: float, xi: float) -> float:
-    """P(t, T, xi): bond price as an explicit function of the driver value."""
-    return bond_price(model, ModelState(t=t, xi=xi), T)
 
 
 def _orientation(model: RateModel) -> str:

@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["gauss_legendre_nodes", "jacobi_rule", "adaptive_integrate"]
-
 MAX_PANELS = 2000  # panels one refinement may reach before it gives up
 
 _RULE_CACHE: dict = {}

@@ -20,8 +20,6 @@ from scipy.special import gammainc, gammaincc, ndtr
 from .errors import DomainError
 from .quadrature import gauss_legendre_nodes
 
-__all__ = ["reg_upper_gamma", "reg_lower_gamma", "psi_integral_batch"]
-
 
 def _regularized_gamma(f, a, x):
     """scipy's f (gammainc or gammaincc) behind the package's domain errors,

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["FlatYieldCurve"]
-
 TAIL_EPSILON = 1e-12  # rho-mass, relative to P0(0), beyond every truncation horizon
 
 

@@ -34,8 +34,6 @@ from .options import MC_PATHS, OptionSpec, _check_path_count, price_call, price_
 from .quadrature import adaptive_integrate
 from .termstructure import TAIL_EPSILON, FlatYieldCurve
 
-__all__ = ["CheckResult", "ValidationReport", "validate_term_structure", "run_validation"]
-
 
 @dataclass(frozen=True)
 class CheckResult:

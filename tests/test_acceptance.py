@@ -18,9 +18,9 @@ import pytest
 from scipy.integrate import quad
 
 import levyrates as lr
-from levyrates import ModelState, OptionSpec
+from levyrates import ModelState, OptionSpec, bond_price
 from levyrates.cli import main as cli_main
-from levyrates.options import _poisson_cutoff, bond_price_at, price_call, solve_critical_level
+from levyrates.options import _poisson_cutoff, price_call, solve_critical_level
 from levyrates.specialfn import reg_upper_gamma
 from oracles import PsiArgs, norm_cdf, psi_integral
 
@@ -147,7 +147,7 @@ def _gamma_strikes(model, t, T):
     # attainable band is (P(t,T,0), 1); pick strikes solidly inside it on
     # the ITM side, at the forward, and a symmetric distance OTM
     fwd = float(model.ts.discount_factor(T)) / float(model.ts.discount_factor(t))
-    floor = bond_price_at(model, t, T, 0.0)
+    floor = bond_price(model, ModelState(t=t, xi=0.0), T)
     gap = fwd - floor
     return (floor + 0.3 * gap, fwd, fwd + gap)
 
@@ -305,9 +305,9 @@ def test_criterion_5_risk_premium_positive(gbm_model, gamma_model):
 def test_criterion_6_monotone_in_driver(gbm_model, gamma_model):
     with criterion(6, "P(t,T,xi) strictly monotone on 201-point grids; residuals <= 1e-12") as rep:
         t, T = 1.0, 3.0
-        down = np.array([bond_price_at(gbm_model, t, T, x) for x in np.linspace(-4.0, 4.0, 201)])
+        down = np.array([bond_price(gbm_model, ModelState(t=t, xi=x), T) for x in np.linspace(-4.0, 4.0, 201)])
         assert np.all(np.diff(down) < 0.0)
-        up = np.array([bond_price_at(gamma_model, t, T, x) for x in np.linspace(0.0, 8.0, 201)])
+        up = np.array([bond_price(gamma_model, ModelState(t=t, xi=x), T) for x in np.linspace(0.0, 8.0, 201)])
         assert np.all(np.diff(up) > 0.0)
         worst_res = 0.0
         for model, strikes in (

@@ -157,6 +157,33 @@ def test_nan_maturity_raises_domain_error(quantity, gbm_model):
         quantity(gbm_model, ModelState(t=1.0, xi=0.2), math.nan)
 
 
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_huge_driver_values_raise_package_errors(name, all_figure_models):
+    # a split panel's exponents can top the pass's shift by more than exp
+    # takes; a caller sees a value or the package's own error, never a
+    # numpy overflow warning or a bare OverflowError
+    m = all_figure_models[name]
+    model = lr.RateModel(ts=m.ts, fam=m.fam, phi=m.phi)  # fresh panels: the shared fixtures' stay as they are
+    for xi in (1e12, 1e15, 1e300, -1e300):
+        state = ModelState(t=1.0, xi=xi)
+        for quantity in (lambda: lr.bond_price(model, state, 3.0), lambda: lr.short_rate(model, state)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = quantity()
+                except (DomainError, lr.NumericalError):
+                    continue
+            assert 0.0 <= value < math.inf, (xi, value)
+
+
+def test_overflowing_forward_rate_raises_numerical_error(gbm_model, monkeypatch):
+    # a kernel integral far below the integrand at T puts exp past the
+    # largest float, where math.exp raises a bare OverflowError
+    monkeypatch.setattr(lr.curve.KernelEvaluator, "log_integral", lambda self, xi, lower=None: -1e4)
+    with pytest.raises(lr.NumericalError, match="forward rate came out inf"):
+        lr.forward_rate(gbm_model, ModelState(t=1.0, xi=0.2), 3.0)
+
+
 # -- risk diagnostics -----------------------------------------------------------
 
 
@@ -280,8 +307,8 @@ def test_rule_integrals_match_a_one_shot_formula(name, all_figure_models):
     xi = model.fam.sample_increment(t, np.random.default_rng(17), size=2 * rows + 7)
     ref_log, ref_avg = one_shot_rule_integrals(ev, xi, lowers, _RULE_NODES)
     data = ev._rule_data(lowers, _RULE_NODES)
-    logs, none = ev._rule_integrals(xi, data, False)
-    pair_log, pair_avg = ev._rule_integrals(xi, data, True)
+    logs, none = ev._rule_integrals(xi, data, False, (xi.min(), xi.max()))
+    pair_log, pair_avg = ev._rule_integrals(xi, data, True, (xi.min(), xi.max()))
     assert none is None
     assert np.max(np.abs(logs - ref_log)) <= 1e-15
     assert np.max(np.abs(pair_log - ref_log)) <= 1e-15
@@ -304,7 +331,7 @@ def test_envelope_shift_is_the_exact_max(name, all_figure_models, flat2):
             for n in (12, 24, 48):
                 phi, base, _ = ev._rule_data([t, t + 2.0], n)
                 want = (np.multiply.outer(phi, xs) + base[:, None]).max(axis=0)
-                minus_shift = _envelope(phi, base, xs)
+                minus_shift = _envelope(phi, base, xs.min(), xs.max())
                 if xs is draws:
                     assert minus_shift is not None, (t, n)
                 if minus_shift is not None:
@@ -320,9 +347,9 @@ def test_rule_integrals_with_a_refused_table_match_a_one_shot_formula(gbm_model)
     draws = gbm_model.fam.sample_increment(t, np.random.default_rng(37), size=2 * rows + 5)
     xi = np.concatenate([draws, [-200.0, 200.0]])
     data = ev._rule_data(lowers, _RULE_NODES)
-    assert _envelope(data[0], data[1], xi) is None
+    assert _envelope(data[0], data[1], xi.min(), xi.max()) is None
     ref_log, ref_avg = one_shot_rule_integrals(ev, xi, lowers, _RULE_NODES)
-    logs, avgs = ev._rule_integrals(xi, data, True)
+    logs, avgs = ev._rule_integrals(xi, data, True, (xi.min(), xi.max()))
     assert np.max(np.abs(logs - ref_log)) <= 1e-15
     np.testing.assert_allclose(avgs, ref_avg, rtol=1e-13, atol=0.0)
 

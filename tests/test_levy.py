@@ -94,8 +94,7 @@ def test_domain_guard_rejects_boundary():
         VG.exponent(hi)
     with pytest.raises(DomainError):
         VG.exponent(lo)
-    assert GAMMA.contains(1.9)
-    assert not GAMMA.contains(2.0)
+    GAMMA.require_admissible(1.9)  # inside the guard: no error
     # unbounded families take any finite argument
     assert GBM.exponent(1e8) == 5e15
     assert np.isfinite(JD.exponent(50.0))

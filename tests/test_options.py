@@ -12,14 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import levyrates as lr
-from levyrates import DomainError, ModelState, OptionSpec, UnsupportedModelError
+from levyrates import DomainError, ModelState, OptionSpec, UnsupportedModelError, bond_price
 from levyrates import options
 from levyrates.options import (
     _itm_weight,
-    bond_price_at,
     price_call,
     price_call_mc,
     solve_critical_level,
@@ -61,7 +62,7 @@ def test_critical_level_residual_and_bracket(name, all_figure_models):
     assert crit.residual <= 1e-12
     a, b = crit.bracket
     assert a <= crit.xi_star <= b
-    p = bond_price_at(model, spec.expiry, spec.maturity, crit.xi_star)
+    p = bond_price(model, ModelState(t=spec.expiry, xi=crit.xi_star), spec.maturity)
     assert abs(p - spec.strike) <= 1e-12
 
 
@@ -69,13 +70,13 @@ def test_orientation_sign_around_critical_level(gbm_model, gamma_model):
     # decreasing phi: bond price falls in xi, payoff region is below xi*
     spec = SPECS["gbm"]
     crit = solve_critical_level(gbm_model, spec)
-    assert bond_price_at(gbm_model, 1.0, 3.0, crit.xi_star - 0.5) > spec.strike
-    assert bond_price_at(gbm_model, 1.0, 3.0, crit.xi_star + 0.5) < spec.strike
+    assert bond_price(gbm_model, ModelState(t=1.0, xi=crit.xi_star - 0.5), 3.0) > spec.strike
+    assert bond_price(gbm_model, ModelState(t=1.0, xi=crit.xi_star + 0.5), 3.0) < spec.strike
     # increasing phi flips the orientation
     gspec = SPECS["gamma"]
     gcrit = solve_critical_level(gamma_model, gspec)
-    assert bond_price_at(gamma_model, 1.0, 3.0, max(gcrit.xi_star - 0.5, 0.0)) < gspec.strike
-    assert bond_price_at(gamma_model, 1.0, 3.0, gcrit.xi_star + 0.5) > gspec.strike
+    assert bond_price(gamma_model, ModelState(t=1.0, xi=max(gcrit.xi_star - 0.5, 0.0)), 3.0) < gspec.strike
+    assert bond_price(gamma_model, ModelState(t=1.0, xi=gcrit.xi_star + 0.5), 3.0) > gspec.strike
 
 
 def test_critical_level_rejects_degenerate_expiries(gbm_model):
@@ -110,15 +111,15 @@ def _oriented_model(name, c):
 )
 def test_critical_level_matches_bisection(name, c, slope, monkeypatch):
     t, T, xi0 = 1.0, 3.0, 0.7
-    K = bond_price_at(_oriented_model(name, c), t, T, xi0)
+    K = bond_price(_oriented_model(name, c), ModelState(t=t, xi=xi0), T)
     oracle_model = _oriented_model(name, c)
     if not slope:  # a slope that is not finite leaves every step to bisection
-        with_slope = lr.KernelEvaluator.log_bond_and_slope
+        with_slope = lr.curve.KernelEvaluator.log_bond_and_slope
 
         def no_slope(self, xi, T):
             return with_slope(self, xi, T)[0], math.nan
 
-        monkeypatch.setattr(lr.KernelEvaluator, "log_bond_and_slope", no_slope)
+        monkeypatch.setattr(lr.curve.KernelEvaluator, "log_bond_and_slope", no_slope)
     crit = solve_critical_level(_oriented_model(name, c), OptionSpec(expiry=t, maturity=T, strike=K))
     oracle = bisect_root(oracle_model, t, T, K, *crit.bracket)
     assert crit.xi_star == pytest.approx(oracle, abs=1e-13)
@@ -283,6 +284,61 @@ def test_price_decreasing_in_strike(name, all_figure_models):
     assert prices[0] > prices[1] > prices[2] > 0.0
 
 
+_PACKAGE_ERRORS = (lr.DomainError, lr.ConfigError, lr.NumericalError, lr.UnsupportedModelError)
+
+
+@st.composite
+def _pipeline_cases(draw):
+    """(model, expiry, maturity, three sorted strikes): admissible family
+    parameters, a flat yield y, a tilt c exp(-b s) whose c lies inside the
+    family's exponent domain on the side of the drawn orientation, and
+    strikes around the forward price."""
+    unit = st.floats(0.0, 1.0)
+    name = draw(st.sampled_from(["gbm", "jd", "gamma", "vg"]))
+    if name == "gbm":
+        fam = lr.BrownianFamily()
+    elif name == "jd":
+        fam = lr.JumpDiffusionFamily(
+            lam=draw(st.floats(0.5, 20.0)), mu=draw(st.floats(-0.1, 0.1)), delta=draw(st.floats(0.02, 0.5))
+        )
+    elif name == "gamma":
+        fam = lr.GammaFamily(m=draw(st.floats(0.5, 5.0)), kappa=draw(st.floats(0.1, 1.0)))
+    else:
+        fam = lr.VarianceGammaFamily(
+            mu=draw(st.floats(-0.3, 0.3)), sigma=draw(st.floats(0.1, 0.5)), m=draw(st.floats(1.0, 20.0))
+        )
+    sign = draw(st.sampled_from([1.0, -1.0]))  # decreasing phi ("lower") or increasing ("upper")
+    edge = min(abs(fam.exponent_domain()[sign > 0]), 1.5)
+    c = sign * edge * (0.05 + 0.85 * draw(unit))
+    y, b = draw(st.floats(0.01, 0.08)), draw(st.floats(0.01, 0.5))
+    model = lr.RateModel(ts=lr.FlatYieldCurve(y=y), fam=fam, phi=lr.ExpDecayPhi(c=c, b=b))
+    t = draw(st.floats(0.25, 3.0))
+    T = t + draw(st.floats(0.25, 5.0))
+    forward = model.ts.forward_price(t, T)
+    strikes = sorted(min(forward * (0.95 + 0.1 * draw(unit)), 0.999) for _ in range(3))
+    return model, t, T, strikes
+
+
+@given(_pipeline_cases())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_pipeline_prices_within_bounds_and_decreasing_in_strike(case):
+    # the whole pipeline, from drawn parameters to closed-form prices: each
+    # price within the static bounds, none rising in the strike, and any
+    # failure one of the package's own errors
+    model, t, T, strikes = case
+    P0t, P0T = (float(model.ts.discount_factor(s)) for s in (t, T))
+    prices = []
+    for K in strikes:
+        try:
+            price = price_call(model, OptionSpec(expiry=t, maturity=T, strike=K)).price
+        except _PACKAGE_ERRORS:
+            continue
+        slack = 1e-9 * P0T
+        assert max(P0T - K * P0t, 0.0) - slack <= price <= P0T + slack, (K, price)
+        prices.append(price)
+    assert all(b <= a + 1e-9 * P0T for a, b in zip(prices, prices[1:])), prices
+
+
 def test_degenerate_expiries(gbm_model):
     P0 = gbm_model.ts.discount_factor
     now = price_call(gbm_model, OptionSpec(expiry=0.0, maturity=3.0, strike=0.5))
@@ -299,7 +355,7 @@ def test_gamma_unattainable_strike_prices_the_bound(gamma_model):
     # the driver support edge caps how low the bond price can go; strikes
     # below that cap leave the call always exercised
     P0 = gamma_model.ts.discount_factor
-    floor = bond_price_at(gamma_model, 1.0, 3.0, 0.0)
+    floor = bond_price(gamma_model, ModelState(t=1.0, xi=0.0), 3.0)
     k = floor - 0.005
     res = price_call(gamma_model, OptionSpec(expiry=1.0, maturity=3.0, strike=k))
     assert res.status == "always_itm"

@@ -4,12 +4,16 @@ ORACLES maps each public function and class of `levyrates.__all__` to the
 tests that check it against such an oracle, with what that oracle is.
 EXEMPT names the rest, each with its reason. The test reads the test
 modules' source, so a renamed or deleted test fails it, as does a public
-name in neither table.
+name in neither table. The README's list of public names is held to the
+same `__all__`.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import levyrates as lr
@@ -66,39 +70,15 @@ ORACLES = {
         ["test_martingales::test_log_value_is_the_stated_formula", "test_martingales::test_unit_mean_monte_carlo"],
         "the defining formula phi xi - t psi(phi); unit mean of its exp over exact draws",
     ),
-    "adaptive_integrate": (
-        ["test_quadrature::test_polynomial_exact", "test_quadrature::test_exponential_decay"],
-        "closed-form integrals",
-    ),
-    "reg_upper_gamma": (
-        [
-            "test_specialfn::test_reg_upper_gamma_against_mpmath",
-            "test_specialfn::test_reg_upper_gamma_exponential_identity",
-        ],
-        "mpmath gammainc; Q(1, x) = exp(-x)",
-    ),
-    "psi_integral_batch": (
-        ["test_specialfn::test_psi_integral_batch_matches_adaptive"],
-        "tests/oracles.py's adaptive scalar mixture integral",
-    ),
     "RateModel": (
         ["test_curve::test_kernel_integral_matches_brute_force", "test_curve::test_batch_rule_matches_mpmath"],
         "the model's integrals, written again from its primitives on a fixed rule and in mpmath",
-    ),
-    "KernelEvaluator": (
-        [
-            "test_curve::test_split_path_matches_mpmath",
-            "test_curve::test_batch_rule_matches_mpmath",
-            "test_curve::test_phi_average_matches_mpmath",
-        ],
-        "mpmath integrals of the closed-form integrand, on the panels and on the rule",
     ),
     "kernel_integral": (
         ["test_curve::test_kernel_integral_matches_brute_force", "test_curve::test_split_path_matches_mpmath"],
         "a 4,000-panel fixed rule written from the primitives; mpmath",
     ),
     "bond_price": _BOND,
-    "bond_price_at": _BOND,  # bond_price at ModelState(t, xi)
     "short_rate": (["test_curve::test_forward_and_short_rate_match_mpmath"], "30-digit mpmath at T = t"),
     "forward_rate": (["test_curve::test_forward_and_short_rate_match_mpmath"], "30-digit mpmath at T = t and t + 3"),
     "phi_average": _PHI_AVERAGE,
@@ -180,3 +160,16 @@ def test_every_public_name_has_an_independent_oracle():
                 found[module] = _test_functions(module)
             assert func in found[module], f"{name}: no test {ref}"
     assert all(EXEMPT.values())
+
+
+def test_readme_public_names_match_all():
+    # every public name is in the README's list, and no backticked bare
+    # name there is one of the modules' internals
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Public names", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    assert sorted(set(lr.__all__) - {"__version__"} - named) == [], "public names the README leaves out"
+    internal = set()
+    for info in pkgutil.iter_modules(lr.__path__):
+        internal |= set(vars(importlib.import_module(f"levyrates.{info.name}")))
+    assert sorted(named & (internal - set(lr.__all__))) == [], "internal names the README lists as public"
