@@ -236,9 +236,7 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
 # -- family-specific in-the-money weights -----------------------------------
 
 
-def _itm_weight(
-    model: RateModel, t: float, xi_star: float, s: np.ndarray, jd_n_max: Optional[int]
-) -> np.ndarray:
+def _itm_weight(model: RateModel, t: float, xi_star: float, s: np.ndarray) -> np.ndarray:
     """G(s) = E[1_itm(X_t) M_ts], vectorized over maturities s, on the
     payoff side of _orientation: {X_t < xi*} or {X_t > xi*}. Each side
     is its family's own tail, not 1 minus the other."""
@@ -250,7 +248,7 @@ def _itm_weight(
         rt = math.sqrt(t)
         return ndtr(sign * (xi_star / rt - phi_s * rt))
     if isinstance(fam, JumpDiffusionFamily):
-        weights, args = _jd_series(fam, t, xi_star, phi_s, jd_n_max)
+        weights, args = _jd_series(fam, t, xi_star, phi_s)
         return np.einsum("sn,sn->s", weights, ndtr(sign * args))
     if isinstance(fam, GammaFamily):
         x = max(xi_star, 0.0) * (1.0 / fam.kappa - phi_s)  # the support is [0, inf)
@@ -265,7 +263,7 @@ def _itm_weight(
 
 
 def _jd_series(
-    fam: JumpDiffusionFamily, t: float, xi_star: float, phi_s: np.ndarray, jd_n_max: Optional[int]
+    fam: JumpDiffusionFamily, t: float, xi_star: float, phi_s: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(Poisson weights, normal CDF arguments), shape (maturities, terms),
     of the mixture of normal CDFs under the Esscher-tilted intensity.
@@ -274,14 +272,11 @@ def _jd_series(
     delta^2 / 2). The plus sign in front of the delta^2 term is pinned by
     the Monte Carlo oracle in the test suite: with mu = 0 the two sign
     choices differ by a factor exp(phi^2 delta^2), far outside MC noise,
-    and only the plus sign matches. jd_n_max, when given, is the series
-    length; otherwise the series runs until its Poisson tail is below
-    _JD_SERIES_TAIL.
+    and only the plus sign matches. The series runs until its Poisson tail
+    is below _JD_SERIES_TAIL.
     """
     lam_t = t * fam.lam * np.exp(phi_s * fam.mu + 0.5 * phi_s * phi_s * fam.delta**2)
-    if jd_n_max is None:
-        jd_n_max = _poisson_cutoff(float(np.max(lam_t)), _JD_SERIES_TAIL)
-    n = np.arange(jd_n_max + 1, dtype=float)
+    n = np.arange(_poisson_cutoff(float(np.max(lam_t)), _JD_SERIES_TAIL) + 1, dtype=float)
     v_n = np.sqrt(t + n * fam.delta**2)
     with np.errstate(divide="ignore"):
         log_w = n[None, :] * np.log(lam_t[:, None]) - lam_t[:, None] - gammaln(n + 1.0)[None, :]
@@ -306,16 +301,8 @@ def _poisson_cutoff(mean: float, tail: float) -> int:
     return n
 
 
-def price_call(
-    model: RateModel,
-    spec: OptionSpec,
-    *,
-    jd_n_max: Optional[int] = None,
-) -> CallPrice:
+def price_call(model: RateModel, spec: OptionSpec) -> CallPrice:
     """Closed-form call price with explicit status reporting.
-
-    jd_n_max fixes the length of the jump-diffusion Poisson series in place
-    of the cutoff from its tail.
 
     Out-of-range strikes are not errors here: an unattainably low strike
     prices the always-exercised bound P0(T) - K P0(t), an unattainably
@@ -349,7 +336,7 @@ def price_call(
 
     def outer(lower: float) -> float:
         val, _ = adaptive_integrate(
-            lambda s: np.asarray(rho(s), dtype=float) * _itm_weight(model, t, crit.xi_star, s, jd_n_max),
+            lambda s: np.asarray(rho(s), dtype=float) * _itm_weight(model, t, crit.xi_star, s),
             lower,
             S,
             rel_tol=model.rel_tol,

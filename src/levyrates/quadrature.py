@@ -20,6 +20,7 @@ long interval can otherwise fool any sampled rule into a false zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Optional, Tuple
 
@@ -29,14 +30,11 @@ from .errors import DomainError, QuadratureError
 
 MAX_PANELS = 2000  # panels one refinement may reach before it gives up
 
-_RULE_CACHE: dict = {}
 
-
+@functools.lru_cache(maxsize=8)
 def gauss_legendre_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached."""
-    if order not in _RULE_CACHE:
-        _RULE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _RULE_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _jacobi_recurrence(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
@@ -59,6 +57,7 @@ def _jacobi_recurrence(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
     return p, d, total
 
 
+@functools.lru_cache(maxsize=32)
 def jacobi_rule(n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """(ln u_i, ln w_i) of the n-point Gauss rule for the weight u^alpha
     on (0, 1], alpha > -1, with the weights normalised to sum 1; cached.
@@ -71,23 +70,20 @@ def jacobi_rule(n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     components lose them. A node whose sum overflows has a weight below
     the float range, and ln w = -inf.
     """
-    key = (n, alpha)
-    if key not in _RULE_CACHE:
-        k = np.arange(1, n + 1, dtype=float)
-        s = 2.0 * k + alpha
-        diag = np.concatenate([[alpha / (alpha + 2.0)], alpha * alpha / (s[:-1] * (s[:-1] + 2.0))])
-        off = 2.0 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            p, dp, _ = _jacobi_recurrence(x, diag, off)
-            step = p / dp
-            x = np.where(np.isfinite(step), x - step, x)
-            log_w = -np.log(_jacobi_recurrence(x, diag, off)[2])
-        log_w -= math.log(float(np.sum(np.exp(log_w))))
-        # near u = 1, log1p keeps ln u free of the rounding in (1 + x)/2
-        log_u = np.where(x < 0.0, np.log(0.5 * (1.0 + x)), np.log1p(0.5 * (x - 1.0)))
-        _RULE_CACHE[key] = (log_u, log_w)
-    return _RULE_CACHE[key]
+    k = np.arange(1, n + 1, dtype=float)
+    s = 2.0 * k + alpha
+    diag = np.concatenate([[alpha / (alpha + 2.0)], alpha * alpha / (s[:-1] * (s[:-1] + 2.0))])
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p, dp, _ = _jacobi_recurrence(x, diag, off)
+        step = p / dp
+        x = np.where(np.isfinite(step), x - step, x)
+        log_w = -np.log(_jacobi_recurrence(x, diag, off)[2])
+    log_w -= math.log(float(np.sum(np.exp(log_w))))
+    # near u = 1, log1p keeps ln u free of the rounding in (1 + x)/2
+    log_u = np.where(x < 0.0, np.log(0.5 * (1.0 + x)), np.log1p(0.5 * (x - 1.0)))
+    return log_u, log_w
 
 
 _X16, W16 = gauss_legendre_nodes(16)

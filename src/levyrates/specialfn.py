@@ -7,15 +7,19 @@ rule for the gamma-mixture normal integral
                    u^{c-1} e^{-u} / Gamma(c) du,
 
 which is the kernel of the variance-gamma option formula (the expectation
-of a normal CDF over a Gamma(c, 1) time).
+of a normal CDF over a Gamma(c, 1) time). The rule is generalized
+Gauss-Laguerre for 10 <= c < 170 and Gauss-Legendre panels in ln u,
+across a window whose edges come from scipy's Lambert W, for the other
+shapes in [0.1, 1e9].
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtr
+from scipy.special import gammainc, gammaincc, lambertw, ndtr
 
 from .errors import DomainError
 from .quadrature import gauss_legendre_nodes
@@ -45,39 +49,6 @@ def reg_lower_gamma(a, x):
     return _regularized_gamma(gammainc, a, x)
 
 
-# e-folds below its peak at which the Gamma(c,1) weight counts as dead
-_WINDOW_DROP = 45.0
-
-
-def _log_weight_window(c: float):
-    """Interval in v = log u outside which the Gamma(c,1) weight is dead.
-
-    The weight exp(c v - e^v - ln Gamma(c)) is unimodal with peak at
-    v = ln c; the window is expanded until it has dropped _WINDOW_DROP
-    e-folds below the peak on both sides.
-    """
-    lg = math.lgamma(c)
-    v_star = math.log(c)
-
-    def log_weight(v: float) -> float:
-        return c * v - math.exp(v) - lg
-
-    peak = log_weight(v_star)
-    v_lo = v_star - 1.0
-    step = 1.0
-    while log_weight(v_lo) > peak - _WINDOW_DROP:
-        v_lo -= step
-        step *= 2.0
-    v_hi = v_star + 1.0
-    step = 1.0
-    while log_weight(v_hi) > peak - _WINDOW_DROP:
-        v_hi += step  # ends: the e^v term kills the right tail
-        step *= 2.0
-    return v_lo, v_hi
-
-
-_BATCH_RULE_CACHE: dict = {}
-
 # Below the lower cutoff the Laguerre rule stalls (measured: 7.9e-3 worst
 # error at c = 0.6 with 64 nodes, <1e-12 at c = 10) because the integrand
 # N(a/sqrt(u) + b sqrt(u)) develops a boundary layer at u -> 0 that
@@ -86,50 +57,52 @@ _BATCH_RULE_CACHE: dict = {}
 _LAGUERRE_MIN_SHAPE = 10.0
 _LAGUERRE_MAX_SHAPE = 170.0
 _LAGUERRE_NODES = 64
-# Above this shape the log-grid nodes step over the weight's peak, about
-# 1/sqrt(c) wide in v: where the normal CDF moves by O(1) across the peak,
-# the rule's error reaches 1e-9 at c = 510, and grows from there. Below
-# the floor the window, about 45/c wide, outgrows memory: 13,312 nodes at
-# c = 0.1, 1.68 M at c = 1e-3.
+# Outside that band: 32-point Gauss-Legendre panels, at least 2 and each
+# at most 1.5 wide, across the window where the weight is within 36
+# e-folds of its peak. Below the floor the window, about 36/c wide, grows
+# without bound: 7,840 nodes at c = 0.1, about 770,000 at c = 1e-3. Above
+# the cap scipy's k = -1 branch of the Lambert W function, evaluated next
+# to its branch point, collapses the window's right edge onto the peak
+# (between c = 7e9 and 8e9 with scipy 1.17).
+_PANEL_NODES = 32
+_PANEL_WIDTH = 1.5
+_WINDOW_EFOLDS = 36.0
 _MIN_SHAPE = 0.1
-_MAX_SHAPE = 500.0
+_MAX_SHAPE = 1e9
 
 
+@functools.lru_cache(maxsize=32)
 def _batch_rule(c: float):
     """Nodes sqrt(u_i) and normalized weights for the gamma-mixture rule.
 
-    Generalized Gauss-Laguerre for moderate c; outside that band, composite
-    16-point Gauss-Legendre panels in v = log u across the window where the
-    weight exp(c v - e^v - ln Gamma(c)) is alive. In v the integrand is
-    entire with O(1) length scale, so panels of width ~0.6 converge past
-    1e-13 uniformly in c. The Laguerre branch has _LAGUERRE_NODES nodes;
-    the log-grid branch is sized by the window.
+    Generalized Gauss-Laguerre with _LAGUERRE_NODES nodes for moderate c.
+    Outside that band the rule works in w = ln(u/c), where the Gamma(c, 1)
+    weight relative to its peak is exp(c (w - expm1(w))) and the
+    integrand is entire with an O(1) length scale (1/sqrt(c) for the
+    weight's own peak at large c). The weight falls _WINDOW_EFOLDS e-folds
+    where e^w - w = A = 1 + _WINDOW_EFOLDS / c, that is at the window
+    edges w = -A - W_k(-e^{-A}), k = 0 (left) and k = -1 (right), from the
+    two real branches of the Lambert W function (Corless et al., Adv.
+    Comput. Math. 5, 1996). Cached per shape c, the 32 most recent.
     """
-    key = round(c, 12)
-    cached = _BATCH_RULE_CACHE.get(key)
-    if cached is not None:
-        return cached
     if _LAGUERRE_MIN_SHAPE <= c < _LAGUERRE_MAX_SHAPE:
         from scipy.special import roots_genlaguerre
 
-        u, w = roots_genlaguerre(_LAGUERRE_NODES, c - 1.0)
-        wn = w * math.exp(-math.lgamma(c))
+        u, gw = roots_genlaguerre(_LAGUERRE_NODES, c - 1.0)
+        root, wn = np.sqrt(u), gw * math.exp(-math.lgamma(c))
     else:
-        v_lo, v_hi = _log_weight_window(c)
-        x16, w16 = gauss_legendre_nodes(16)
-        n_panels = max(8, int(math.ceil((v_hi - v_lo) / 0.625)))
-        edges = np.linspace(v_lo, v_hi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        v = (mid[:, None] + half * x16[None, :]).ravel()
-        wn = (half * w16[None, :] * np.exp(c * v - np.exp(v) - math.lgamma(c)).reshape(n_panels, 16)).ravel()
-        u = np.exp(v)  # v > -515 for c >= _MIN_SHAPE, so no node underflows to 0
+        A = 1.0 + _WINDOW_EFOLDS / c
+        lo, hi = (-A - lambertw(-math.exp(-A), k).real for k in (0, -1))
+        panels = max(2, math.ceil((hi - lo) / _PANEL_WIDTH))
+        x, gw = gauss_legendre_nodes(_PANEL_NODES)
+        edges = np.linspace(lo, hi, panels + 1)
+        # the panels' common half-width cancels in the normalization below
+        w = (0.5 * (edges[:-1] + edges[1:])[:, None] + (0.5 * (edges[1] - edges[0])) * x).ravel()
+        root = math.sqrt(c) * np.exp(0.5 * w)  # w > -361 for c >= _MIN_SHAPE, so no node underflows to 0
+        wn = np.tile(gw, panels) * np.exp(c * (w - np.expm1(w)))
     # Renormalize so the rule is an exact convex combination: constants are
     # integrated exactly and the result stays inside [0, 1].
-    wn = wn / wn.sum()
-    rule = (np.sqrt(u), wn)
-    _BATCH_RULE_CACHE[key] = rule
-    return rule
+    return root, wn / wn.sum()
 
 
 def psi_integral_batch(a, b, c: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 import levyrates as lr
-from levyrates import ModelState, OptionSpec, bond_price
+from levyrates import ModelState, OptionSpec, bond_price, options
 from levyrates.cli import main as cli_main
 from levyrates.options import _poisson_cutoff, price_call, solve_critical_level
 from levyrates.specialfn import reg_upper_gamma
@@ -442,7 +442,7 @@ def _rep_options(name):
     return [(1.0, 3.0, 0.92), (1.0, 3.0, 0.96), (1.0, 5.0, 0.90)]
 
 
-def test_criterion_10_convergence_stability(all_figure_models, jd5_model, vg5_model):
+def test_criterion_10_convergence_stability(all_figure_models, jd5_model, vg5_model, monkeypatch):
     with criterion(10, "halved tolerance and doubled JD cutoff move no price by 1e-8") as rep:
         models = dict(all_figure_models)
         models["jd5"] = jd5_model
@@ -453,15 +453,10 @@ def test_criterion_10_convergence_stability(all_figure_models, jd5_model, vg5_mo
             tight = lr.RateModel(ts=model.ts, fam=model.fam, phi=model.phi, rel_tol=model.rel_tol / 2.0)
             for t, T, K in _rep_options(name):
                 spec = OptionSpec(expiry=t, maturity=T, strike=K)
-                kwargs = {}
-                if isinstance(model.fam, lr.JumpDiffusionFamily):
-                    phi_t = float(model.phi(t))
-                    lam_max = t * model.fam.lam * math.exp(
-                        phi_t * model.fam.mu + 0.5 * phi_t * phi_t * model.fam.delta**2
-                    )
-                    kwargs["jd_n_max"] = 2 * _poisson_cutoff(lam_max, 1e-12)
                 base = price_call(model, spec).price
-                moved = price_call(tight, spec, **kwargs).price
+                with monkeypatch.context() as patch:
+                    patch.setattr(options, "_poisson_cutoff", lambda mean, tail: 2 * _poisson_cutoff(mean, tail))
+                    moved = price_call(tight, spec).price
                 worst = max(worst, abs(moved - base))
                 n_prices += 1
         rep.detail = f"{n_prices} prices, max shift = {worst:.2e}"

@@ -234,7 +234,7 @@ def _side_weights(model, xi_star, s, monkeypatch):
     out = []
     for side in ("lower", "upper"):
         monkeypatch.setattr(options, "_orientation", lambda model, side=side: side)
-        out.append(_itm_weight(model, 1.0, xi_star, s, None))
+        out.append(_itm_weight(model, 1.0, xi_star, s))
     monkeypatch.undo()
     return out
 
@@ -391,20 +391,22 @@ def test_non_monotone_phi_needs_the_mc_pricer(flat2):
 # -- series/node controls --------------------------------------------------------
 
 
-def test_jd_series_cutoff_override(jd5_model):
+def test_jd_series_cutoff_override(jd5_model, monkeypatch):
     spec = OptionSpec(expiry=1.0, maturity=3.0, strike=0.9)
     base = price_call(jd5_model, spec).price
-    generous = price_call(jd5_model, spec, jd_n_max=400).price
+    monkeypatch.setattr(options, "_poisson_cutoff", lambda mean, tail: 400)
+    generous = price_call(jd5_model, spec).price
     assert generous == pytest.approx(base, abs=1e-10)
-    # a starved series must actually change the answer (the override is live)
-    starved = price_call(jd5_model, spec, jd_n_max=1).price
+    # a starved series must actually change the answer (the cutoff is live)
+    monkeypatch.setattr(options, "_poisson_cutoff", lambda mean, tail: 1)
+    starved = price_call(jd5_model, spec).price
     assert abs(starved - base) > 1e-4
 
 
 def test_price_call_takes_no_other_keyword(vg_model):
-    # the VG rule and the JD series tail are fixed; only jd_n_max is settable
+    # the VG rule and the JD series tail are fixed; price_call takes no keyword
     spec = OptionSpec(expiry=1.0, maturity=3.0, strike=0.96)
-    for kwargs in ({"vg_nodes": 64}, {"jd_series_tail": 1e-12}):
+    for kwargs in ({"vg_nodes": 64}, {"jd_series_tail": 1e-12}, {"jd_n_max": 40}):
         with pytest.raises(TypeError):
             price_call(vg_model, spec, **kwargs)
 

@@ -5,7 +5,7 @@ tests that check it against such an oracle, with what that oracle is.
 EXEMPT names the rest, each with its reason. The test reads the test
 modules' source, so a renamed or deleted test fails it, as does a public
 name in neither table. The README's list of public names is held to the
-same `__all__`.
+same `__all__`, and its quick-start block must run.
 """
 
 from __future__ import annotations
@@ -173,3 +173,11 @@ def test_readme_public_names_match_all():
     for info in pkgutil.iter_modules(lr.__path__):
         internal |= set(vars(importlib.import_module(f"levyrates.{info.name}")))
     assert sorted(named & (internal - set(lr.__all__))) == [], "internal names the README lists as public"
+
+
+def test_readme_quick_start_runs():
+    # a name or keyword the package dropped fails the README's first example
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

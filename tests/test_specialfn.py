@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,17 +211,73 @@ def test_reg_gamma_rejects_nan_and_keeps_the_infinite_limit():
 
 
 def test_psi_batch_shape_limit():
-    # the log-grid rule stops resolving the weight's peak near c = 510
-    # (CHANGES.md); c = inf raised a bare ValueError and c = 1e10 warned.
-    # Below c = 0.1 its window, about 45/c wide, outgrows memory: 1.68 M
-    # nodes at c = 1e-3, and a MemoryError at c = 1e-10
+    # Lambert W's k = -1 branch collapses the panel window's right edge
+    # onto the peak between c = 7e9 and 8e9 (CHANGES.md); c = inf raised a
+    # bare ValueError and c = 1e10 warned. Below c = 0.1 the window, about
+    # 36/c wide, grows without bound: about 770,000 nodes at c = 1e-3, and
+    # a MemoryError at c = 1e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for c in (510.0, 1e10, math.inf, math.nan, 0.0, 0.0999, 1e-3, 1e-10, 1e-20):
+        for c in (1.01e9, 1e10, math.inf, math.nan, 0.0, 0.0999, 1e-3, 1e-10, 1e-20):
             with pytest.raises(DomainError, match="mixture shape c must lie in"):
                 psi_integral_batch(0.0, 0.0, c)
-        for c in (0.1, 500.0):
+        for c in (0.1, 510.0, 1e9):
             assert psi_integral_batch(0.0, 0.0, c)[0] == pytest.approx(0.5, abs=1e-15)
+
+
+def _mp_psi(a: float, b: float, c: float) -> float:
+    """psi(a, b, c) to 30 digits: mpmath.quad in w = ln(u/c), split where
+    the weight exp(c (w - expm1 w)) is 4, 16, 36 and 64 e-folds below its
+    peak (mpmath's own Lambert W) and at every even w inside, over the
+    exact normalizer Gamma(c) e^c c^-c."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        rc = mpmath.sqrt(c)
+        pts = {mpmath.mpf(0)}
+        for k in (2, 4, 6, 8):
+            A = 1 + k * k / c
+            pts.update(-A - mpmath.lambertw(-mpmath.exp(-A), branch).real for branch in (0, -1))
+        pts.update(mpmath.mpf(w) for w in range(-8, 8, 2) if min(pts) < w < max(pts))
+
+        def f(w):
+            half = mpmath.exp(w / 2)
+            x = a / (rc * half) + b * rc * half
+            cdf = mpmath.ncdf(x) if abs(x) < 50 else float(x > 0)  # mpmath's erfc overflows far out
+            return cdf * mpmath.exp(c * (w - mpmath.expm1(w)))
+
+        num = mpmath.quad(f, sorted(pts), method="gauss-legendre")
+        return float(num / mpmath.exp(mpmath.loggamma(c) + c - c * mpmath.log(c)))
+
+
+def test_psi_batch_matches_mpmath():
+    # both branches and both edges of the Laguerre band, and the cap; wide
+    # arguments, and arguments that move the normal CDF by O(1) across
+    # the weight's peak (a ~ sqrt(c), b ~ 1/sqrt(c))
+    for c in (0.1, 1.0, 5.0, 9.99, 170.0, 500.0, 1e4, 1e9):
+        rc = math.sqrt(c)
+        args = [(-60.0, 1.5), (60.0, -3.0), (-0.05, 0.3), (0.3 * rc, -0.2 / rc), (-rc, 1.2 / rc)]
+        got = psi_integral_batch(np.array([a for a, _ in args]), np.array([b for _, b in args]), c)
+        for (a, b), v in zip(args, got):
+            assert abs(v - _mp_psi(a, b, c)) < 1e-14, (a, b, c)
+
+
+def test_psi_batch_rule_is_keyed_by_the_exact_shape():
+    # the rule was cached under round(c, 12): after c = 10 - 1e-13 (below
+    # the Laguerre band), c = 10 read that shape's rule and gave other
+    # bits than in a fresh process
+    code = (
+        "import sys; from levyrates.specialfn import psi_integral_batch as psi; "
+        "[psi(1.0, -0.5, c) for c in map(float, sys.argv[1:])]; print(repr(psi(1.0, -0.5, 10.0)[0]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lr.__file__).resolve().parents[1]))
+    runs = [
+        subprocess.Popen([sys.executable, "-c", code, *before], env=env, stdout=subprocess.PIPE, text=True)
+        for before in ([], ["9.9999999999999"])
+    ]
+    fresh, after = (run.communicate()[0].strip() for run in runs)
+    assert fresh and after == fresh
 
 
 def test_psi_batch_rejects_nan_and_keeps_infinite_limits():
