@@ -29,8 +29,8 @@ u = exp(-beta (s - L)) turns an integral from L into
 
 with alpha = y/beta - 1. With beta = b for phi_s = c exp(-b s), phi is
 linear in u, so a fixed Gauss-Jacobi rule for the weight u^alpha
-resolves the rest with a few dozen nodes; each batch checks its rule
-against one of half the nodes.
+resolves the rest with 16 nodes; each batch checks its rule against
+the 12-node rule and climbs a ladder of node counts where they differ.
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ def _block_rows(nodes: int) -> int:
     return 16 * max(1, _BLOCK_FLOATS // (16 * nodes))
 
 
-# Gauss-Jacobi rule of the batch kernel: _RULE_NODES nodes per bound,
-# checked against half as many and doubled up to _RULE_MAX_NODES; the
-# shifts of a call come from a table on _ENVELOPE_POINTS grid points.
-_RULE_NODES = 24
-_RULE_MAX_NODES = 384
+# Gauss-Jacobi rule of the batch kernel: nodes per bound, each rung checked
+# against the one before, so _RULE_NODES is the first a batch can take;
+# the shifts of a call come from a table on _ENVELOPE_POINTS grid points.
+_RULE_LADDER = (12, 16, 24, 48, 96, 192, 384)
+_RULE_NODES = _RULE_LADDER[1]
 _ENVELOPE_POINTS = 257
 
 
@@ -438,13 +438,13 @@ class KernelEvaluator:
 
     def _rule_nodes(self, xi: np.ndarray, bounds: Sequence[float], phi_average: bool):
         """(node data, probes, _rule_integrals at the probes) of the first
-        n-point rule from _RULE_NODES on, doubling, at which n and n/2
-        nodes agree to rel_tol in every log integral (and phi average, when
-        asked for) at the probes, the batch's min, mean and max draw, each
-        node set built once. Only a bound at or past S_max may give a value
-        that is not finite (an empty integral). Raises DomainError when a
-        probe is not finite or lies below the driver's support,
-        QuadratureError past _RULE_MAX_NODES.
+        rung of _RULE_LADDER, from _RULE_NODES on, that agrees with the
+        rung before it to rel_tol in every log integral (and phi average,
+        when asked for) at the probes, the batch's min, mean and max draw,
+        each node set built once. Only a bound at or past S_max may give a
+        value that is not finite (an empty integral). Raises DomainError
+        when a probe is not finite or lies below the driver's support,
+        QuadratureError when the top two rungs (384 and 192) differ.
         """
         with np.errstate(over="ignore"):  # a mean that overflows is refused below
             probes = np.array([xi.min(), xi.mean(), xi.max()])
@@ -461,30 +461,30 @@ class KernelEvaluator:
             got = self._rule_integrals(probes, data, phi_average)
             return data, got, np.hstack(got) if phi_average else got[0]
 
-        n, coarse = _RULE_NODES, values(_RULE_NODES // 2)[2]
-        while True:
-            data, got, fine = values(n)
+        fine = values(_RULE_LADDER[0])[2]
+        for m, n in zip(_RULE_LADDER, _RULE_LADDER[1:]):
+            coarse, (data, got, fine) = fine, values(n)
             with np.errstate(invalid="ignore"):  # -inf - -inf, nan
                 ok = past | (np.abs(fine - coarse) <= tol)
             if ok.all():
                 return data, probes, got
-            if 2 * n > _RULE_MAX_NODES:
-                j, i = np.argwhere(~ok)[0]
-                gap = abs(fine[j, i] - coarse[j, i])
-                why = (
-                    f"differ by {gap:.3e}, above rel_tol {tol:g}"
-                    if math.isfinite(gap)
-                    else f"give {fine[j, i]} and {coarse[j, i]}, not finite"
-                )
-                raise QuadratureError(
-                    f"kernel rule (t={self.t}, bounds={list(bounds)}, xi={probes[i % 3]}): "
-                    f"{n} and {n // 2} nodes {why}",
-                    rel_err=float(gap),
-                )
-            n, coarse = 2 * n, fine
+        j, i = np.argwhere(~ok)[0]
+        gap = abs(fine[j, i] - coarse[j, i])
+        why = (
+            f"differ by {gap:.3e}, above rel_tol {tol:g}"
+            if math.isfinite(gap)
+            else f"give {fine[j, i]} and {coarse[j, i]}, not finite"
+        )
+        raise QuadratureError(
+            f"kernel rule (t={self.t}, bounds={list(bounds)}, xi={probes[i % 3]}): "
+            f"{n} and {m} nodes {why}",
+            rel_err=float(gap),
+        )
 
     def _batch(self, xi, lowers: Sequence[float], phi_average: bool) -> dict:
         xi = np.asarray(xi, dtype=float)
+        if xi.ndim > 1:
+            raise DomainError(f"driver draws must be a scalar or a 1-D array, got shape {xi.shape}")
         bounds = list(dict.fromkeys(float(L) for L in lowers))
         if xi.size == 0:
             return {L: np.empty(0) for L in bounds}
@@ -498,10 +498,10 @@ class KernelEvaluator:
     def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """log kernel integrals for an array of xi at several lower bounds,
         on the Gauss-Jacobi rule of the module docstring minus the same rule
-        from S_max (no panels, so no refine), with the nodes _rule_nodes
-        checks. Every xi gets its exact value on that rule, in blocks of
-        about 1 MiB (_BLOCK_FLOATS), so the memory a call needs beyond its
-        outputs does not grow with the batch.
+        from S_max (no panels, so no refine), 16 nodes per bound where they
+        agree with 12, else the rung of _rule_nodes. Every xi gets its exact
+        value on that rule, in blocks of about 1 MiB (_BLOCK_FLOATS), so the
+        memory a call needs beyond its outputs does not grow with the batch.
         """
         return self._batch(xi, lowers, False)
 

@@ -242,10 +242,10 @@ def test_batch_across_block_boundaries(name, all_figure_models):
     model = all_figure_models[name]
     t, lowers = 1.0, [1.0, 4.0]
     ev = model.evaluator(t)
-    draws = model.fam.sample_increment(t, np.random.default_rng(11), size=4000)
+    rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
+    draws = model.fam.sample_increment(t, np.random.default_rng(11), size=2 * rows + 7)
     for probe in (float(draws.min()), float(np.median(draws)), float(draws.max())):
         ev.refine(probe, *lowers)
-    rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
     xi = draws[: 2 * rows + 7]
     assert xi.size == 2 * rows + 7
     data_log = ev._rule_nodes(xi, lowers, False)[0]
@@ -379,6 +379,18 @@ def test_batch_refuses_draws_the_scalar_path_refuses(name, bad, message, all_fig
             kernel_integral(model, ModelState(t=1.0, xi=bad))
 
 
+@pytest.mark.parametrize("shape", [(3, 7), (1, 4), (0, 3)])
+def test_batch_refuses_draws_of_more_than_one_dimension(shape, gbm_model):
+    # a 2-D array of draws raises DomainError from both batch entry points,
+    # not a broadcast error from inside the kernel; a 0-D draw is one draw
+    ev = gbm_model.evaluator(1.0)
+    xi = np.full(shape, 0.3)
+    for entry in (ev.log_integral_batch, ev.phi_average_batch):
+        with pytest.raises(DomainError, match=r"scalar or a 1-D array, got shape"):
+            entry(xi, [1.0, 3.0])
+        assert entry(np.float64(0.3), [1.0, 3.0])[3.0].tolist() == entry(np.array([0.3]), [1.0, 3.0])[3.0].tolist()
+
+
 # -- batch rule against an mpmath oracle ----------------------------------------
 
 
@@ -403,7 +415,7 @@ def _mp_psi(fam, a):
     return -fam.m * mpmath.log(1 - (fam.mu / fam.m) * a - fam.sigma**2 / (2 * fam.m) * a * a)
 
 
-def _mp_kernel(model, t, xi, lower, power):
+def _mp_kernel(model, t, xi, lower, power, method="tanh-sinh"):
     """int_lower^S_max phi_s^power rho_s M(t, s, xi) ds by mpmath.quad, on
     the flat curve, written against the closed forms only; call it inside
     mpmath.workdps."""
@@ -416,15 +428,15 @@ def _mp_kernel(model, t, xi, lower, power):
         return phi**power * y * mpmath.exp(-y * s + phi * xi - t * _mp_psi(model.fam, phi))
 
     pts = [mpmath.mpf(lower)] + [lower + d for d in 2.0 ** np.arange(-2, 12) if lower + d < model.s_max]
-    return mpmath.quad(f, pts + [S])
+    return mpmath.quad(f, pts + [S], method=method)
 
 
-def mp_log_kernel(model, t, xi, lower):
+def mp_log_kernel(model, t, xi, lower, method="tanh-sinh"):
     """log int_lower^S_max rho_s M(t, s, xi) ds at 30 digits."""
     import mpmath
 
     with mpmath.workdps(30):
-        return float(mpmath.log(_mp_kernel(model, t, xi, lower, 0)))
+        return float(mpmath.log(_mp_kernel(model, t, xi, lower, 0, method)))
 
 
 def mp_phi_average(model, t, xi, lower):
@@ -522,6 +534,25 @@ def test_batch_rule_matches_mpmath(kind, name, t, all_figure_models):
     xi = np.array([draws.min(), draws.max()])
     assert rule_nodes(model.evaluator(t), xi, [t, t + 2.0]) == _RULE_NODES
     _check_rule_against_mpmath(model, t, xi, [t, t + 2.0], 2e-14)
+
+
+def test_rule_check_on_the_mc_batch_options():
+    # the eight options of the benchmark's mc_batch workload (the bench
+    # drivers, expiry 1 and 2, tenor 2), each on 20,000 exact draws from
+    # its seed-0 stream: the 16-node rule agrees with 12 nodes, so the check
+    # stops at its first rung, and its log K at the probes (min, mean and
+    # max draw) is within 2e-14 of 30 digits at both bounds (Gauss-Legendre
+    # panels in mpmath, which keep the 48 oracle values inside 3 s)
+    for u, (name, t) in enumerate((n, e) for n in ("gbm", "jd", "gamma", "vg") for e in (1.0, 2.0)):
+        model = _bench_model(name)
+        bounds = [t, t + 2.0]
+        xi = model.fam.sample_increment(t, lr.spawn_stream(0, 20 + u), 20_000)
+        (phi, _, _), probes, (logs, _) = model.evaluator(t)._rule_nodes(xi, bounds, False)
+        assert phi.size == _RULE_NODES * (len(bounds) + 1), (name, t)
+        for j, L in enumerate(bounds):
+            for i, x in enumerate(probes):
+                want = mp_log_kernel(model, t, float(x), L, "gauss-legendre")
+                assert abs(logs[j, i] - want) <= 2e-14, (name, t, L, x)
 
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
