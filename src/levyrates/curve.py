@@ -10,31 +10,28 @@ exponentially decaying density and an exponential tilt in phi_s * xi, so
 all sums run in log space with a max-exponent shift; the realized driver
 value never overflows a price.
 
-A KernelEvaluator owns the panelization for one (model, valuation time)
-pair: a sorted edge array and the node data of every panel in
-contiguous, panel-sorted arrays, so an integral from a lower bound is a
-sum from an array offset. Refinement runs the panel core of
-`quadrature`. Panels only ever split, so refinement is monotone and
-evaluations are deterministic for a fixed call sequence; the
-critical-level solver relies on that by freezing the panelization while
-it brackets.
-
-The batch entry points (log_integral_batch, phi_average_batch), and
-through them the phi averages of the risk quantities, need no panels.
-On the flat curve rho_s = y exp(-y s), the coordinate
-u = exp(-beta (s - L)) turns an integral from L into
+Every integral runs on one rule. On the flat curve rho_s = y exp(-y s),
+the coordinate u = exp(-beta (s - L)) turns an integral from L into
 
     int_L^inf rho_s M(t, s, xi) ds = P0(L) int_0^1 (y/beta) u^alpha
                                      M(t, L - ln(u)/beta, xi) du,
 
 with alpha = y/beta - 1. With beta = b for phi_s = c exp(-b s), phi is
 linear in u, so a fixed Gauss-Jacobi rule for the weight u^alpha
-resolves the rest with 16 nodes; each batch checks its rule against
-the 12-node rule and climbs a ladder of node counts where they differ.
+resolves the rest with 16 nodes; the same rule from S_max, subtracted,
+truncates the integral there. The rule is checked against the 12-node
+rule and climbs a ladder of node counts where they differ. A
+KernelEvaluator holds it for one (model, valuation time) pair: a batch
+(log_integral_batch, phi_average_batch, and through them Monte Carlo
+and the phi averages of the risk quantities) checks it at its own
+draws, and refine checks it at one draw for the scalar quantities and
+the critical-level solve, which then evaluate on the rule refine
+accepted.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -45,15 +42,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, QuadratureError, UnsupportedModelError
 from .levy import LevyFamily
 from .martingales import ExpDecayPhi, ModelState, PhiFunction, _check_state_support, log_martingale_value
-from .quadrature import (
-    W16,
-    dyadic_breakpoints,
-    jacobi_rule,
-    panel_estimates,
-    panel_nodes,
-    refine_panels,
-    split,
-)
+from .quadrature import jacobi_rule
 from .termstructure import TAIL_EPSILON, FlatYieldCurve
 
 # floats per block of the batch kernel (1 MiB). A block holds as many
@@ -72,12 +61,39 @@ def _block_rows(nodes: int) -> int:
     return 16 * max(1, _BLOCK_FLOATS // (16 * nodes))
 
 
-# Gauss-Jacobi rule of the batch kernel: nodes per bound, each rung checked
+# Gauss-Jacobi rule of the kernel: nodes per bound, each rung checked
 # against the one before, so _RULE_NODES is the first a batch can take;
 # the shifts of a call come from a table on _ENVELOPE_POINTS grid points.
 _RULE_LADDER = (12, 16, 24, 48, 96, 192, 384)
 _RULE_NODES = _RULE_LADDER[1]
 _ENVELOPE_POINTS = 257
+# entries an evaluator keeps per memo: node data per (bounds, node count),
+# rule checks per (bounds, draw) and the accepted rule per bounds; past
+# this many the oldest goes
+_MEMO = 64
+
+
+def _remember(memo: dict, key, value):
+    """memo[key] = value, dropping the oldest entry past _MEMO; value."""
+    memo[key] = value
+    if len(memo) > _MEMO:
+        del memo[next(iter(memo))]
+    return value
+
+
+class _Rule(tuple):
+    """(phi, base, W) of KernelEvaluator._rule_data, with the operands
+    of _rule_integrals built once per rule: the columns [phi, base], and
+    W over W * phi, which also sums the phi averages."""
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        return np.column_stack(self[:2])
+
+    @functools.cached_property
+    def W_phi(self) -> np.ndarray:
+        phi, _, W = self
+        return np.vstack([W, W * phi])
 
 
 def _envelope(phi: np.ndarray, base: np.ndarray, lo: float, hi: float):
@@ -102,21 +118,6 @@ def _envelope(phi: np.ndarray, base: np.ndarray, lo: float, hi: float):
     return minus_shift
 
 
-def _phi_tail_values(phi: PhiFunction, horizon: float) -> np.ndarray:
-    """Representative phi values over [horizon, inf) for the tail estimate.
-
-    For the decaying classes the tail range of phi runs monotonically from
-    phi(horizon) down to 0, so geometric subsamples of phi(horizon) cover
-    it; a constant phi contributes the single value it takes.
-    """
-    edge = float(phi(horizon))
-    if phi.monotonicity == "constant":
-        return np.array([edge])
-    sup = phi.tail_sup_abs(horizon)
-    base = math.copysign(max(abs(edge), sup), edge if edge != 0.0 else 1.0)
-    return np.concatenate([base * np.power(0.5, np.arange(0, 44)), [0.0]])
-
-
 @dataclass(frozen=True)
 class RateModel:
     """A rational term-structure model: initial curve, driver, tilt.
@@ -124,7 +125,7 @@ class RateModel:
     The triple (rho, family, phi) determines every price in the model;
     rel_tol, the one numerical setting, is every integral's relative error
     target. Construction validates 0 < rel_tol < 1, that the curve is a
-    FlatYieldCurve (the batch kernel's rule is built for its density), that
+    FlatYieldCurve (the kernel's rule is built for its density), that
     it decays, and that phi stays inside the family's exponent domain
     across [0, S_max].
     """
@@ -155,7 +156,7 @@ class RateModel:
 
     @property
     def rule_rate(self) -> float:
-        """beta of the batch kernel's coordinate u = exp(-beta (s - L)):
+        """beta of the kernel rule's coordinate u = exp(-beta (s - L)):
         the tilt's decay rate b for ExpDecayPhi with b > 0, which makes phi
         linear in u; the flat yield y for a bump or constant tilt."""
         if isinstance(self.phi, ExpDecayPhi) and self.phi.b > 0.0:
@@ -163,7 +164,7 @@ class RateModel:
         return self.ts.y
 
     def evaluator(self, t: float) -> "KernelEvaluator":
-        """Panelization cache, keyed by valuation time (small LRU)."""
+        """Kernel evaluator, and with it its rules, per valuation time (small LRU)."""
         key = float(t)
         ev = self._evaluators.get(key)
         if ev is None:
@@ -177,16 +178,16 @@ class RateModel:
 
 
 class KernelEvaluator:
-    """Adaptive panelization of s -> rho_s M(t, s, xi) over [t, S_max].
+    """The kernel s -> rho_s M(t, s, xi) on [t, S_max] at one valuation
+    time, on the Gauss-Jacobi rule of the module docstring.
 
-    The panel edges run sorted and contiguous from t to S_max. Node data
-    (log rho - t psi(phi), and phi) sits in contiguous arrays in panel
-    order, shape (panels, 24) in the layout of quadrature.NODES, with flat
-    copies of the 16-point nodes and their weights; all of it is rebuilt
-    in one call whenever the edges change. Changing xi then costs one
-    fused multiply-add plus exponentials per node, and an integral over
-    [lower, S_max] is a sum from the array offset of panel `lower`, which
-    is registered as a breakpoint first. Panels split monotonically.
+    refine(xi, *lowers) checks the rule at one draw, as a batch of that
+    draw would, and keeps the rule it accepts for that tuple of bounds
+    with its values there. log_integral and log_bond_and_slope evaluate
+    on the rule the latest refine of their bounds accepted, so a solve
+    that refines at its bracket ends sees one smooth function of xi, and
+    they read the check's values at the draw it checked. The node data
+    of each (bounds, node count) is built once, for the _MEMO latest.
     """
 
     def __init__(self, model: RateModel, t: float):
@@ -200,189 +201,98 @@ class KernelEvaluator:
                 f"valuation time {t} is beyond the truncation horizon {self.S:.1f}; "
                 "the initial curve carries no mass there"
             )
+        self._data: Dict[tuple, tuple] = {}  # (bounds, n) -> _rule_data
+        self._checks: Dict[tuple, tuple] = {}  # (bounds, xi) -> (data, xi, log integrals at xi)
+        self._rules: Dict[tuple, tuple] = {}  # bounds -> the entry of its latest refine
 
-        # tail estimate ingredients: sup over s >= S of log M(t, s, xi)
-        tail_phi = _phi_tail_values(model.phi, self.S)
-        model.fam.require_admissible(tail_phi[np.abs(tail_phi) > 0])
-        self._tail_phi = tail_phi
-        self._tail_psi = np.asarray(model.fam._exponent_impl(tail_phi), dtype=float)
-        self._log_tail_mass = math.log(float(model.ts.discount_factor(self.S)))
+    def _bounds(self, lowers: Sequence[float]) -> tuple:
+        """The distinct lower bounds, in order. DomainError for none, or for
+        one that is nan or before t."""
+        bounds = tuple(dict.fromkeys(float(L) for L in lowers))
+        if not bounds:
+            raise DomainError("kernel integrals need at least one lower bound")
+        for L in bounds:
+            if not L >= self.t:  # nan too
+                raise DomainError(f"kernel lower bound {L} must be >= valuation time {self.t}")
+        return bounds
 
-        self._set_edges(dyadic_breakpoints(self.t, self.S))
+    # -- the scalar entry points ---------------------------------------------
 
-    # -- panel bookkeeping -------------------------------------------------
-
-    def _node_data(self, edges: np.ndarray):
-        """(log rho - t psi(phi), phi) on the nodes of the given panels."""
-        s = panel_nodes(edges)
-        phi_vals = np.asarray(self.model.phi(s), dtype=float)
-        psi_vals = np.asarray(self.model.fam.exponent(phi_vals), dtype=float)
-        return np.asarray(self.model.ts.log_density(s), dtype=float) - self.t * psi_vals, phi_vals
-
-    def _set_edges(self, edges: np.ndarray) -> None:
-        self._edges = edges
-        self._offset_cache: Dict[tuple, Dict[float, int]] = {}
-        self._base, self._phi = self._node_data(edges)
-        self._w = (0.5 * (edges[1:] - edges[:-1])[:, None] * W16).ravel()
-        self._base16 = self._base[:, :16].ravel()
-        self._phi16 = self._phi[:, :16].ravel()
-
-    def ensure_breakpoint(self, x: float) -> None:
-        """Split so that x is a panel edge (needed before integrating from x)."""
-        x = float(x)
-        if x <= self.t or x >= self.S:
-            return
-        k = int(self._edges.searchsorted(x, side="right")) - 1
-        if self._edges[k] != x:
-            self._set_edges(split(self._edges, k, x))
-
-    def _first_panel(self, lower: float) -> int:
-        """Index of the panel from lower on; lower must be registered."""
-        return int(self._edges.searchsorted(min(max(lower, self.t), self.S)))
-
-    # -- tail --------------------------------------------------------------
-
-    def log_tail_bound(self, xi: float) -> float:
-        """log of (neglected mass beyond S_max) x (estimated sup of M there)."""
-        g = self._tail_phi * xi - self.t * self._tail_psi
-        return self._log_tail_mass + float(np.max(g))
-
-    # -- refinement and evaluation -------------------------------------------
+    def _check(self, xi: float, bounds: tuple) -> tuple:
+        """(node data, xi, log integrals at xi) of the rule the check at
+        this draw accepts, kept as the rule of bounds. The check is a
+        function of (bounds, xi), run once while the memo keeps it."""
+        xi = float(xi)
+        got = self._checks.get((bounds, xi))
+        if got is None:
+            data, _, (logs, _) = self._rule_nodes(np.array([xi]), bounds, False)
+            got = _remember(self._checks, (bounds, xi), (data, xi, logs[:, 0]))
+        return _remember(self._rules, bounds, got)
 
     def refine(self, xi: float, *lowers: float) -> None:
-        """Split panels until the integral for this xi from each lower bound
-        to S_max meets rel_tol, bound by bound in the order given (from t
-        when no bound is given). Safe to call repeatedly; panels never merge.
-
-        One exp pass over every node, shifted by the largest exponent,
-        gives the panel estimates; a bound met on unchanged panels reads
-        them from its first panel on, and a split makes the next bound
-        redo the pass. So a later bound reads estimates from an earlier
-        bound's pass, which can differ in the last bit from a pass started
-        at the bound; that matters only for an estimate that ties rel_tol.
-        rel_tol governs the quadrature error on the truncated interval;
-        splitting cannot reduce the tail beyond S_max.
+        """Check the rule at this xi for the integrals from each lower bound
+        (from t when none is given) to S_max, climbing _RULE_LADDER as a
+        batch of this one draw would, and keep the rule it accepts for
+        these bounds. rel_tol governs the quadrature error on the
+        truncated interval; no rule reduces the tail beyond S_max.
         """
-        xi = float(xi)
+        self._check(xi, self._bounds(lowers or (self.t,)))
 
-        def values(base, phi):  # split nodes can top the pass's shift, and exp overflows past 709
-            x = base + phi * xi - shift
-            if x.max() >= 700.0:
-                raise QuadratureError(f"a split node's exponent lies {x.max():.3g} above the shift")
-            return np.exp(x)
-
-        pass_edges = None
-        for lower in lowers or (self.t,):
-            lower = float(lower)
-            self.ensure_breakpoint(lower)
-            start = self._first_panel(lower)
-            if start >= len(self._edges) - 1:
-                continue
-            if pass_edges is not self._edges:
-                pass_edges = self._edges
-                z = self._base + self._phi * xi
-                shift = float(np.max(z))
-                I, E = panel_estimates(pass_edges, np.exp(z - shift))
-            try:
-                edges, _, _ = refine_panels(
-                    pass_edges,
-                    I[start:],
-                    E[start:],
-                    lambda e: values(*self._node_data(e)),
-                    rel_tol=self.model.rel_tol,
-                    start=start,
-                )
-            except QuadratureError as exc:  # name the state; the core knows only its panels
-                exc.args = (f"kernel quadrature (t={self.t}, lower={lower}, xi={xi}): {exc}",)
-                raise
-            if edges is not pass_edges:
-                self._set_edges(edges)
-
-    def _offsets(self, lowers: Sequence[float]) -> Dict[float, int]:
-        """Node offset of each lower bound, registering the bounds as
-        edges first; cached per bounds tuple until the edges change,
-        because a critical-level solve makes about ten passes at the
-        same bounds (t, T) on unchanged panels."""
-        key = tuple(lowers)
-        offsets = self._offset_cache.get(key)
-        if offsets is None:
-            for L in lowers:
-                self.ensure_breakpoint(L)  # before any offset is read
-            offsets = {float(L): 16 * self._first_panel(L) for L in lowers}
-            self._offset_cache[key] = offsets
-        return offsets
-
-    def _integrals(self, xi: np.ndarray, lowers: Sequence[float], phi_average: bool) -> dict:
-        """log int_L^S rho M per xi and L; with phi_average, the pair
-        (that log integral, the phi average over [L, S]) from the same pass.
-
-        Panels are used as-is, 16-point rule only; the shift per xi is the
-        largest exponent over all nodes. The draws run in blocks of
-        _BLOCK_FLOATS floats, each filled in place in one buffer.
-        """
-        offsets = self._offsets(lowers)
-        w_full, base, phiv = self._w, self._base16, self._phi16
-        wphi = w_full * phiv if phi_average else None
-        out = {L: np.empty(xi.shape, dtype=float) for L in offsets}
-        avg = {L: np.empty(xi.shape, dtype=float) for L in offsets} if phi_average else None
-        rows = _block_rows(base.size)
-        buf = np.empty((min(rows, xi.size), base.size), dtype=float)
-        for i0 in range(0, xi.size, rows):
-            i1 = min(i0 + rows, xi.size)
-            M = buf[: i1 - i0]
-            np.multiply(xi[i0:i1, None], phiv, out=M)
-            M += base
-            shift = M.max(axis=1)
-            M -= shift[:, None]
-            np.exp(M, out=M)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a vanished integral
-                for L, off in offsets.items():
-                    vals = M[:, off:] @ w_full[off:]
-                    out[L][i0:i1] = np.log(vals) + shift
-                    if phi_average:
-                        avg[L][i0:i1] = (M[:, off:] @ wphi[off:]) / vals
-        return {L: (out[L], avg[L]) for L in offsets} if phi_average else out
+    def _accepted(self, xi: float, bounds: tuple) -> tuple:
+        """(node data, draw, log integrals there) of the rule accepted for
+        bounds, checked at xi first when these bounds were never refined."""
+        got = self._rules.get(bounds)
+        return self._check(xi, bounds) if got is None else got
 
     def log_integral(self, xi: float, lower: Optional[float] = None) -> float:
-        """log of int_lower^S rho_s M(t,s,xi) ds on the current panels."""
-        lower = self.t if lower is None else float(lower)
-        return float(self._integrals(np.array([float(xi)]), [lower], False)[lower][0])
+        """log of int_lower^S rho_s M(t,s,xi) ds on the rule refine accepted."""
+        xi = float(xi)
+        data, checked, logs = self._accepted(xi, self._bounds((self.t if lower is None else lower,)))
+        if checked != xi:
+            logs = self._rule_integrals(np.array([xi]), data, False)[0][:, 0]
+        return float(logs[0])
 
     def log_bond_and_slope(self, xi: float, T: float) -> Tuple[float, float]:
-        """(log P(t, T, xi), d log P / d xi) on the current panels, one pass.
+        """(log P(t, T, xi), d log P / d xi) in one pass of the rule that
+        refine(xi, t, T) accepted.
 
         The slope is Phi_tT - Phi_tt, the bond volatility: the exact
         derivative in xi of the quadrature sums that give log P.
         """
-        pairs = self._integrals(np.array([float(xi)]), [self.t, float(T)], True)
-        (log_t, avg_t), (log_T, avg_T) = pairs[self.t], pairs[float(T)]
-        return float(log_T[0] - log_t[0]), float(avg_T[0] - avg_t[0])
+        xi = float(xi)
+        bounds = self._bounds((self.t, T))
+        logs, avgs = self._rule_integrals(np.array([xi]), self._accepted(xi, bounds)[0], True)
+        j = len(bounds) - 1  # T, or t itself at T = t
+        return float(logs[j, 0] - logs[0, 0]), float(avgs[j, 0] - avgs[0, 0])
 
-    # -- batch kernel: Gauss-Jacobi rule in u = exp(-beta (s - L)) -----------
+    # -- the rule: Gauss-Jacobi in u = exp(-beta (s - L)) ---------------------
 
     def _rule_data(self, bounds: Sequence[float], n: int):
-        """Node data of the n-point rule from every bound and from S_max.
+        """Node data of the n-point rule from every bound and from S_max,
+        built once per (bounds, n) while the memo keeps it.
 
         Returns (phi, log(P0(L) w_i) - t psi(phi)) at the nodes of each
         bound, then of S_max, and the (nodes x bounds) matrix that sums
         a bound's nodes minus the S_max nodes, which truncates every
         integral at S_max. A bound at or beyond S_max sums nothing.
         """
+        key = (tuple(bounds), n)
+        if key in self._data:
+            return self._data[key]
         model = self.model
         beta = model.rule_rate
         log_u, log_w = jacobi_rule(n, model.ts.y / beta - 1.0)
-        starts = np.array([min(max(L, self.t), self.S) for L in bounds] + [self.S])
+        starts = np.array([min(L, self.S) for L in bounds] + [self.S])
         s = (starts[:, None] - log_u / beta).ravel()
         phi = np.asarray(model.phi(s), dtype=float)
         psi = np.asarray(model.fam.exponent(phi), dtype=float)
-        log_p0 = np.log(np.asarray(model.ts.discount_factor(starts), dtype=float))
-        base = (log_p0[:, None] + log_w).ravel() - self.t * psi
+        base = (-model.ts.y * starts[:, None] + log_w).ravel() - self.t * psi  # ln P0(L) = -y L
         W = np.zeros((len(bounds), s.size))
         for j in range(len(bounds)):
             if starts[j] < self.S:
                 W[j, j * n : (j + 1) * n] = 1.0
                 W[j, -n:] = -1.0
-        return phi, base, W
+        return _remember(self._data, key, _Rule((phi, base, W)))
 
     def _rule_integrals(self, xi: np.ndarray, data, phi_average: bool, span=None):
         """(log int_L^S rho M, phi average over [L, S] or None), each of
@@ -405,9 +315,9 @@ class KernelEvaluator:
         phi, base, W = data
         k, nodes = W.shape[0], phi.size
         if phi_average:
-            W = np.vstack([W, W * phi])
+            W = data.W_phi
         minus_shift = _envelope(phi, base, *span) if xi.size > 16 else None
-        A = np.column_stack([phi, base] if minus_shift is None else [phi, base, np.ones(nodes)])
+        A = data.columns if minus_shift is None else np.column_stack([phi, base, np.ones(nodes)])
         out = np.empty((k, xi.size))
         avg = np.empty((k, xi.size)) if phi_average else None
         rows = _block_rows(nodes)
@@ -441,7 +351,7 @@ class KernelEvaluator:
         rung of _RULE_LADDER, from _RULE_NODES on, that agrees with the
         rung before it to rel_tol in every log integral (and phi average,
         when asked for) at the probes, the batch's min, mean and max draw,
-        each node set built once. Only a bound at or past S_max may give a
+        on node sets from the _rule_data memo. Only a bound at or past S_max may give a
         value that is not finite (an empty integral). Raises DomainError
         when a probe is not finite or lies below the driver's support,
         QuadratureError when the top two rungs (384 and 192) differ.
@@ -485,7 +395,7 @@ class KernelEvaluator:
         xi = np.asarray(xi, dtype=float)
         if xi.ndim > 1:
             raise DomainError(f"driver draws must be a scalar or a 1-D array, got shape {xi.shape}")
-        bounds = list(dict.fromkeys(float(L) for L in lowers))
+        bounds = self._bounds(lowers)
         if xi.size == 0:
             return {L: np.empty(0) for L in bounds}
         data, probes, probed = self._rule_nodes(xi, bounds, phi_average)
@@ -498,10 +408,11 @@ class KernelEvaluator:
     def log_integral_batch(self, xi: np.ndarray, lowers: Sequence[float]) -> Dict[float, np.ndarray]:
         """log kernel integrals for an array of xi at several lower bounds,
         on the Gauss-Jacobi rule of the module docstring minus the same rule
-        from S_max (no panels, so no refine), 16 nodes per bound where they
-        agree with 12, else the rung of _rule_nodes. Every xi gets its exact
-        value on that rule, in blocks of about 1 MiB (_BLOCK_FLOATS), so the
-        memory a call needs beyond its outputs does not grow with the batch.
+        from S_max, checked at the batch's own draws (no refine): 16 nodes
+        per bound where they agree with 12, else the rung of _rule_nodes.
+        Every xi gets its exact value on that rule, in blocks of about 1 MiB
+        (_BLOCK_FLOATS), so the memory a call needs beyond its outputs does
+        not grow with the batch.
         """
         return self._batch(xi, lowers, False)
 
@@ -581,7 +492,7 @@ def forward_rate(model: RateModel, state: ModelState, T: float) -> float:
 
 
 def _phi_averages(model: RateModel, state: ModelState, T: float) -> Tuple[float, float]:
-    """(Phi_tt, Phi_tT) from one pass of the batch rule at the state's draw.
+    """(Phi_tt, Phi_tT) from one pass of the kernel rule at the state's draw.
     DomainError for T before t or at or past S_max; the rule's check fails
     a value that is not finite, so a vanished integral raises
     QuadratureError, never a nan."""

@@ -22,7 +22,7 @@ class NumericalError(RuntimeError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """A quadrature ran out of budget: adaptive panels, or the kernel rule's node ladder."""
 
     def __init__(self, message: str, *, panels: int = 0, rel_err: float = float("nan")):
         super().__init__(message)

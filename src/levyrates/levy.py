@@ -55,8 +55,9 @@ class LevyFamily:
     def require_admissible(self, alpha) -> None:
         arr = np.asarray(alpha, dtype=float)
         lo, hi, guard = self._guarded_domain()
-        if not (np.all(arr > lo + guard) and np.all(arr < hi - guard)):  # a nan is never inside
-            bad = float(arr.flat[int(np.argmin((arr > lo + guard) & (arr < hi - guard)))])
+        inside = (arr > lo + guard) & (arr < hi - guard)  # a nan is never inside
+        if not inside.all():
+            bad = float(arr.flat[int(np.argmin(inside))])
             raise DomainError(
                 f"{self.tag}: exponent argument {bad!r} outside admissible open interval "
                 f"({lo!r}, {hi!r}) with guard band {DOMAIN_GUARD}"

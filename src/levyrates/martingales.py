@@ -47,10 +47,6 @@ class PhiFunction(ABC):
     def range_bounds(self, horizon: float) -> Tuple[float, float]:
         """Exact (min, max) of phi over [0, horizon]."""
 
-    @abstractmethod
-    def tail_sup_abs(self, horizon: float) -> float:
-        """sup of |phi_s| over s >= horizon; used for truncation bounds."""
-
 
 @dataclass(frozen=True)
 class ExpDecayPhi(PhiFunction):
@@ -79,9 +75,6 @@ class ExpDecayPhi(PhiFunction):
     def range_bounds(self, horizon):
         lo, hi = sorted((self(0.0), self(horizon)))
         return (lo, hi)
-
-    def tail_sup_abs(self, horizon):
-        return abs(self(horizon))
 
 
 @dataclass(frozen=True)
@@ -112,10 +105,6 @@ class GaussianBumpPhi(PhiFunction):
         if 0.0 <= self.center <= horizon:
             candidates.append(self.height)
         return (min(candidates), max(candidates))
-
-    def tail_sup_abs(self, horizon):
-        # |phi| decreases beyond the bump center
-        return abs(self(horizon)) if horizon >= self.center else abs(self.height)
 
 
 @dataclass(frozen=True)

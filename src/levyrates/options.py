@@ -132,10 +132,11 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
     """Find xi* with |P(t,T,xi*) - K| <= 1e-12 by bracket expansion and a
     safeguarded Newton solve on log P - log K.
 
-    The panelization is refined from t and from T at each bracket endpoint
-    (ev.refine(x, t, T)), then frozen for the root solve so the solver sees
-    one smooth deterministic function of xi. Each step costs one kernel
-    pass, which gives log P and its exact slope Phi_tT - Phi_tt together.
+    The kernel rule is checked from t and from T at each bracket endpoint
+    (ev.refine(x, t, T)); the root solve keeps the rule the last check
+    accepted, so the solver sees one smooth deterministic function of xi.
+    Each step costs one kernel pass, which gives log P and its exact slope
+    Phi_tT - Phi_tt together.
     Raises StrikeOutOfRangeError when K is not attainable over the driver's
     support, UnsupportedModelError for non-monotone phi, NumericalError
     when the root misses the residual contract.
@@ -218,7 +219,7 @@ def solve_critical_level(model: RateModel, spec: OptionSpec) -> CriticalLevel:
 
     xi_star, iterations = newton()
 
-    # honesty check with refinement re-enabled at the root
+    # honesty check on the rule checked at the root
     ev.refine(xi_star, t, T)
     residual = abs(P(xi_star)[0] - K)
     if residual > _RESIDUAL_TOL:
@@ -369,7 +370,7 @@ def price_call_mc(
     """Unbiased Monte Carlo price and its standard error.
 
     Draws the driver at expiry exactly, evaluates the kernel payoff
-    (int_T rho M - K int_t rho M)+ per draw on the batch kernel's rule,
+    (int_T rho M - K int_t rho M)+ per draw on the kernel's rule,
     and averages. Works for any phi, monotone or not. paths must be an
     integer (not a bool) of at least 1000.
     """

@@ -7,11 +7,13 @@ meets the tolerance. Because the high-order rule on smooth integrands is
 far more accurate than the estimate (which tracks the 8-point error), the
 achieved accuracy typically lands orders of magnitude inside the target.
 
-This module is the one panel core of the package: `adaptive_integrate`
-drives it with a callable integrand, and the kernel evaluator in `curve`
-drives it with node data it caches per panel. A panel set is a sorted
-array of edges; each panel carries the 24-node layout of `NODES` (the 16
-nodes of the high rule, then the 8 of the low rule).
+This module is the one panel core of the package, driven through
+`adaptive_integrate` with a callable integrand: the outer maturity
+integral of a call price and the curve checks of validation. A panel set
+is a sorted array of edges; each panel carries the 24-node layout of
+`NODES` (the 16 nodes of the high rule, then the 8 of the low rule).
+It also holds `jacobi_rule`, the Gauss-Jacobi rule on which `curve`
+evaluates every kernel integral.
 
 Integrands must accept numpy arrays. Callers integrating something with
 known structure should pass seed breakpoints; a decaying integrand on a
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-MAX_PANELS = 2000  # panels one refinement may reach before it gives up
+MAX_PANELS = 2000  # panels one adaptive integral may reach before it gives up
 
 
 @functools.lru_cache(maxsize=8)
@@ -86,7 +88,7 @@ def jacobi_rule(n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     return log_u, log_w
 
 
-_X16, W16 = gauss_legendre_nodes(16)
+_X16, _W16 = gauss_legendre_nodes(16)
 _X8, _W8 = gauss_legendre_nodes(8)
 NODES = np.concatenate([_X16, _X8])
 
@@ -100,7 +102,7 @@ def panel_nodes(edges: np.ndarray) -> np.ndarray:
 def panel_estimates(edges: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-panel (16-point integral, |16-point - 8-point|) from node values."""
     half = 0.5 * (edges[1:] - edges[:-1])
-    hi = half * (vals[:, :16] @ W16)
+    hi = half * (vals[:, :16] @ _W16)
     return hi, np.abs(hi - half * (vals[:, 16:] @ _W8))
 
 
@@ -117,62 +119,6 @@ def dyadic_breakpoints(lo: float, hi: float) -> np.ndarray:
         width *= 2.0
     pts.append(hi)
     return np.array(pts)
-
-
-def split(edges: np.ndarray, k: int, x: Optional[float] = None) -> np.ndarray:
-    """Edges with panel k cut at x, or bisected when x is None.
-
-    Raises QuadratureError when the panel is at floating-point resolution,
-    where its midpoint is one of its edges.
-    """
-    lo, hi = edges[k], edges[k + 1]
-    if x is None:
-        x = 0.5 * (lo + hi)
-    if not lo < x < hi:
-        raise QuadratureError(
-            f"panel [{lo}, {hi}] at floating-point resolution", panels=len(edges) - 1
-        )
-    return np.insert(edges, k + 1, x)
-
-
-def refine_panels(
-    edges: np.ndarray,
-    I: np.ndarray,
-    E: np.ndarray,
-    values: Callable[[np.ndarray], np.ndarray],
-    *,
-    rel_tol: float,
-    abs_tol: float = 0.0,
-    start: int = 0,
-) -> Tuple[np.ndarray, float, float]:
-    """Bisect the panels edges[start:], worst estimate first, to tolerance.
-
-    I and E are the integrals and error estimates of those panels;
-    values(e) returns the integrand on panel_nodes(e) for new panels.
-    Converged when sum(E) <= max(rel_tol * |sum(I)|, abs_tol); returns
-    (edges, sum(I), sum(E)). Raises QuadratureError when all panels,
-    those before start included, reach MAX_PANELS first, or when the
-    worst panel cannot be bisected.
-    """
-    while True:
-        total, err = float(I.sum()), float(E.sum())
-        target = max(rel_tol * abs(total), abs_tol)
-        if err <= target:
-            return edges, total, err
-        n = len(edges) - 1
-        if n >= MAX_PANELS:
-            raise QuadratureError(
-                f"no convergence after {n} panels on [{edges[start]}, {edges[-1]}]: "
-                f"err={err:.3e} vs target {target:.3e}",
-                panels=n,
-                rel_err=err / max(abs(total), 1e-300),
-            )
-        k = int(np.argmax(E))
-        edges = split(edges, start + k)
-        pair = edges[start + k : start + k + 3]
-        I2, E2 = panel_estimates(pair, values(pair))
-        I = np.concatenate([I[:k], I2, I[k + 1 :]])
-        E = np.concatenate([E[:k], E2, E[k + 1 :]])
 
 
 def adaptive_integrate(
@@ -215,5 +161,23 @@ def adaptive_integrate(
         return np.asarray(f(panel_nodes(e).ravel()), dtype=float).reshape(-1, 24)
 
     I, E = panel_estimates(edges, values(edges))
-    _, total, err = refine_panels(edges, I, E, values, rel_tol=rel_tol, abs_tol=abs_tol)
-    return total, err
+    while True:  # bisect the worst panel until the summed estimate meets the target
+        total, err = float(I.sum()), float(E.sum())
+        target = max(rel_tol * abs(total), abs_tol)
+        if err <= target:
+            return total, err
+        n = len(edges) - 1
+        if n >= MAX_PANELS:
+            raise QuadratureError(
+                f"no convergence after {n} panels on [{a}, {b}]: err={err:.3e} vs target {target:.3e}",
+                panels=n,
+                rel_err=err / max(abs(total), 1e-300),
+            )
+        k = int(np.argmax(E))
+        lo, hi = edges[k], edges[k + 1]
+        if not lo < 0.5 * (lo + hi) < hi:  # the midpoint is one of the edges
+            raise QuadratureError(f"panel [{lo}, {hi}] at floating-point resolution", panels=n)
+        edges = np.insert(edges, k + 1, 0.5 * (lo + hi))
+        I2, E2 = panel_estimates(edges[k : k + 3], values(edges[k : k + 3]))
+        I = np.concatenate([I[:k], I2, I[k + 1 :]])
+        E = np.concatenate([E[:k], E2, E[k + 1 :]])

@@ -7,7 +7,7 @@ average truncated at the horizon where the remaining mass is TAIL_EPSILON.
 
 rho is supplied in closed form, never by differencing tabulated data,
 because the quadrature core needs a smooth and cheap integrand, and the
-batch kernel's Gauss-Jacobi rule is built for this curve's exponential
+kernel's Gauss-Jacobi rule is built for this curve's exponential
 density. The curve's contract checks live in `validation`.
 """
 

@@ -18,9 +18,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in lines:
             terminalreporter.write_line(line)
 
-# session scope on purpose: evaluator panelizations accumulate refinement
-# across tests, which only ever adds panels and keeps every integral
-# within its stated tolerance
+# session scope on purpose: evaluators keep their rules across tests, and
+# no price may depend on what an earlier test evaluated
 
 
 @pytest.fixture(scope="session")

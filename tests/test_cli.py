@@ -296,17 +296,17 @@ def test_help_exits_0(capsys):
 
 
 def test_exit_2_quadrature_budget_exhausted(tmp_path, capsys):
-    # a tolerance below rounding: the panels split up to their budget, and
-    # the run must fail loudly with the numerical exit code, not return a
-    # degraded price
+    # a draw far in the gamma driver's tail (xi = 1e4, tilt c = -1) moves
+    # the kernel's mass hundreds of years out, where 384 and 192 nodes of
+    # the rule still differ: the run must fail loudly with the numerical
+    # exit code, naming the state, not return a degraded price
     doc = _model_block()
-    doc["curve"] = {"form": "flat", "yield": 0.02}
-    doc["family"] = {"family": "gbm"}
-    doc["quadrature"] = {"rel_tol": 1e-17}
-    doc["price"] = {"t": 1.0, "xi": 0.2, "maturities": [3.0]}
+    doc["family"] = {"family": "gamma", "m": 1.0, "kappa": 0.5}
+    doc["phi"] = {"c": -1.0, "b": 0.02}
+    doc["price"] = {"t": 1.0, "xi": 1e4, "maturities": [3.0]}
     assert main(["price", "--config", _write(tmp_path, "c.json", doc)]) == 2
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "no convergence after 2000 panels" in err
+    assert "numerical failure: kernel rule (t=1.0, bounds=[1.0], xi=10000.0): 384 and 192 nodes differ" in err
 
 
 def test_exit_3_validation_failure(tmp_path):

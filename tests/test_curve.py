@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import levyrates as lr
 from levyrates import DomainError, ModelState
 from levyrates.curve import _RULE_NODES, _block_rows, _envelope, kernel_integral
-from levyrates.quadrature import MAX_PANELS, jacobi_rule
+from levyrates.quadrature import jacobi_rule
 
 STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=-0.8), ModelState(t=3.0, xi=1.5)]
 GAMMA_STATES = [ModelState(t=1.0, xi=0.4), ModelState(t=1.0, xi=0.0), ModelState(t=3.0, xi=1.5)]
@@ -159,11 +159,11 @@ def test_nan_maturity_raises_domain_error(quantity, gbm_model):
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
 def test_huge_driver_values_raise_package_errors(name, all_figure_models):
-    # a split panel's exponents can top the pass's shift by more than exp
-    # takes; a caller sees a value or the package's own error, never a
-    # numpy overflow warning or a bare OverflowError
+    # exponents far beyond what exp takes: a caller sees a value or the
+    # package's own error, never a numpy overflow warning or a bare
+    # OverflowError
     m = all_figure_models[name]
-    model = lr.RateModel(ts=m.ts, fam=m.fam, phi=m.phi)  # fresh panels: the shared fixtures' stay as they are
+    model = lr.RateModel(ts=m.ts, fam=m.fam, phi=m.phi)  # fresh evaluators: the shared fixtures' stay as they are
     for xi in (1e12, 1e15, 1e300, -1e300):
         state = ModelState(t=1.0, xi=xi)
         for quantity in (lambda: lr.bond_price(model, state, 3.0), lambda: lr.short_rate(model, state)):
@@ -237,33 +237,25 @@ def test_batch_matches_scalar_integrals(vg_model):
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
 def test_batch_across_block_boundaries(name, all_figure_models):
     # two full blocks of the batch rule and a partial one: every block must
-    # give each draw what the rule's one-draw pass gives it, in both modes;
-    # the panel pass (several blocks here) must match its own one-draw pass
+    # give each draw what the rule's one-draw pass gives it, in both modes,
+    # and what the scalar entry point gives it from each bound alone
     model = all_figure_models[name]
     t, lowers = 1.0, [1.0, 4.0]
     ev = model.evaluator(t)
     rows = _block_rows(_RULE_NODES * (len(lowers) + 1))
-    draws = model.fam.sample_increment(t, np.random.default_rng(11), size=2 * rows + 7)
-    for probe in (float(draws.min()), float(np.median(draws)), float(draws.max())):
-        ev.refine(probe, *lowers)
-    xi = draws[: 2 * rows + 7]
+    xi = model.fam.sample_increment(t, np.random.default_rng(11), size=2 * rows + 7)
     assert xi.size == 2 * rows + 7
     data_log = ev._rule_nodes(xi, lowers, False)[0]
     data_avg = ev._rule_nodes(xi, lowers, True)[0]
     logs = ev.log_integral_batch(xi, lowers)
-    pairs = ev._integrals(xi, lowers, True)
     avgs = ev.phi_average_batch(xi, lowers)
     one_log = np.hstack([ev._rule_integrals(np.array([x]), data_log, False)[0] for x in xi])
     one_avg = np.hstack([ev._rule_integrals(np.array([x]), data_avg, True)[1] for x in xi])
     for j, L in enumerate(lowers):
         scalar_log = np.array([ev.log_integral(float(x), L) for x in xi])
-        panel_avg = ev._integrals(xi, [L], True)[L][1]
         assert np.max(np.abs(logs[L] - one_log[j])) <= 1e-15
         np.testing.assert_allclose(avgs[L], one_avg[j], rtol=1e-13, atol=0.0)
         assert np.max(np.abs(logs[L] - scalar_log)) <= 1e-13
-        np.testing.assert_allclose(avgs[L], panel_avg, rtol=1e-12, atol=0.0)
-        assert np.max(np.abs(pairs[L][0] - scalar_log)) <= 1e-15
-        np.testing.assert_allclose(pairs[L][1], panel_avg, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
@@ -510,6 +502,18 @@ def test_bond_price_matches_mpmath(name):
         assert lr.bond_price(model, ModelState(t=t, xi=x), T) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
+def test_kernel_integral_matches_mpmath(name, all_figure_models):
+    # the scalar entry point, from t and from T = t + 3, at the states of
+    # the brute-force test against 30 digits (Gauss-Legendre panels in
+    # mpmath); both sides stop at S_max, and they agree to 5.6e-16 at worst
+    model = all_figure_models[name]
+    for state in _states_for(name):
+        for lower in (state.t, state.t + 3.0):
+            want = math.exp(mp_log_kernel(model, state.t, state.xi, lower, "gauss-legendre"))
+            assert kernel_integral(model, state, lower) == pytest.approx(want, rel=1e-12)
+
+
 def rule_nodes(ev, xi, bounds):
     """Nodes per bound of the rule that the batch check picks for xi."""
     phi = ev._rule_nodes(np.asarray(xi, dtype=float), bounds, False)[0][0]
@@ -570,7 +574,7 @@ def test_phi_average_matches_mpmath(name, all_figure_models):
 
 def test_batch_rule_doubles_for_a_bump_tilt(flat2):
     # a Gaussian bump is not linear in any exponential coordinate, so the
-    # rule runs in u = P0(s)/P0(L) and needs more than 24 nodes
+    # rule runs in u = P0(s)/P0(L) and needs more than 16 nodes
     model = lr.RateModel(
         ts=flat2, fam=lr.BrownianFamily(), phi=lr.GaussianBumpPhi(height=0.3, center=2.0, width=0.5)
     )
@@ -583,7 +587,7 @@ def test_batch_rule_doubles_for_a_bump_tilt(flat2):
 
 def test_batch_rule_at_a_slowly_decaying_tilt(flat3):
     # y/b = 2000: the Jacobi exponent y/b - 1 = 1999 packs the nodes within
-    # a few thousandths of u = 1, and 24 of them still meet the oracle
+    # a few thousandths of u = 1, and 16 of them still meet the oracle
     model = lr.RateModel(ts=flat3, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.03 / 2000))
     assert model.rule_rate == model.phi.b
     t, lowers = 1.0, [1.0, 3.0]
@@ -719,46 +723,58 @@ def test_batch_memory_is_bounded(jd_model):
 
 
 def test_refinement_is_stable_under_repetition(gbm_model):
+    # a repeated refine keeps its rule and the node data it was built on,
+    # and a refine of other bounds leaves them be: the integral keeps its bits
     ev = gbm_model.evaluator(0.5)
     ev.refine(0.3, 0.5)
     first = ev.log_integral(0.3, 0.5)
+    data = ev._rules[(0.5,)][0]
     ev.refine(0.3, 0.5)
     ev.refine(0.3, 2.0)
-    again = ev.log_integral(0.3, 0.5)
-    assert again == pytest.approx(first, rel=1e-12)
+    assert ev._rules[(0.5,)][0] is data
+    assert ev.log_integral(0.3, 0.5) == first
 
 
-def test_breakpoint_registration_idempotent(gbm_model):
-    ev = gbm_model.evaluator(0.75)
-    ev.ensure_breakpoint(2.5)
-    n = len(ev._edges)
-    ev.ensure_breakpoint(2.5)
-    assert len(ev._edges) == n
-    ev.ensure_breakpoint(ev.t)  # no-op at or below t
-    ev.ensure_breakpoint(ev.S + 5.0)  # no-op beyond the horizon
-    assert len(ev._edges) == n
+@pytest.mark.parametrize("xi, nodes", [(0.3, _RULE_NODES), (40.0, 24)])
+def test_refine_checks_a_tuple_of_bounds_in_one_call(xi, nodes, flat2, monkeypatch):
+    # refine(xi, t, T) checks the rule once for both bounds, as a one-draw
+    # batch would, and the solve's pass at that draw checks nothing more
+    model = lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.5))
+    ev = model.evaluator(1.0)
+    checked = []
+    check = ev._rule_nodes
+    monkeypatch.setattr(ev, "_rule_nodes", lambda x, bounds, avg: checked.append(tuple(bounds)) or check(x, bounds, avg))
+    ev.refine(xi, 1.0, 3.0)
+    log_p = ev.log_bond_and_slope(xi, 3.0)[0]
+    assert checked == [(1.0, 3.0)]
+    phi, _, _ = ev._rules[(1.0, 3.0)][0]
+    assert phi.size == 3 * nodes
+    logs = ev.log_integral_batch(np.array([xi]), [1.0, 3.0])
+    assert ev._rules[(1.0, 3.0)][2].tolist() == [logs[1.0][0], logs[3.0][0]]
+    assert log_p == pytest.approx(logs[3.0][0] - logs[1.0][0], rel=0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("lowers", [(1.0, 3.0), (3.0, 1.0)], ids=["t-T", "T-t"])
-@pytest.mark.parametrize("xi, warm, splits", [(0.3, True, False), (25.0, True, True), (0.3, False, True)])
-def test_refine_of_several_bounds_leaves_the_panels_of_one_refine_per_bound(xi, warm, splits, lowers, flat2):
-    # one call shares its exp pass across bounds until a panel splits; the
-    # panels must be those of one refine per bound, in the order given
-    def evaluator():
-        model = lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.5))
-        ev = model.evaluator(1.0)
-        if warm:
-            ev.refine(0.0, 1.0)
-            ev.refine(0.0, 3.0)
-        return ev
-
-    shared, single = evaluator(), evaluator()
-    before = shared._edges
-    shared.refine(xi, *lowers)
-    for L in lowers:
-        single.refine(xi, L)
-    assert np.array_equal(shared._edges, single._edges)
-    assert (shared._edges is not before) == splits
+def test_kernel_bounds_are_checked_in_one_place(gbm_model):
+    # no bound, a nan bound and a bound before t are refused alike by the
+    # scalar and the batch entry points, never clamped to t or left to
+    # fail inside the driver's exponent
+    ev = gbm_model.evaluator(1.0)
+    xi = np.array([0.1, 0.2])
+    for call in (ev.log_integral_batch, ev.phi_average_batch):
+        with pytest.raises(DomainError, match="at least one lower bound"):
+            call(xi, [])
+    for L in (0.5, math.nan):
+        message = re.escape(f"kernel lower bound {L} must be >= valuation time 1.0")
+        for call in (
+            lambda: ev.refine(0.1, L),
+            lambda: ev.refine(0.1, 1.0, L),
+            lambda: ev.log_integral(0.1, L),
+            lambda: ev.log_bond_and_slope(0.1, L),
+            lambda: ev.log_integral_batch(xi, [L]),
+            lambda: ev.phi_average_batch(xi, [1.0, L]),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 @pytest.mark.parametrize("name", ["gbm", "jd", "gamma", "vg"])
@@ -768,8 +784,9 @@ def test_bond_slope_is_the_bond_volatility(name, all_figure_models):
     ev = model.evaluator(t)
     ev.refine(xi, t, T)
     log_p, slope = ev.log_bond_and_slope(xi, T)
-    # the same sums as the two log integrals of bond_price, bit for bit
-    assert math.exp(log_p) == lr.bond_price(model, ModelState(t=t, xi=xi), T)
+    # the sums of bond_price's two log integrals, up to the rounding of a
+    # pass that also sums the phi averages
+    assert math.exp(log_p) == pytest.approx(lr.bond_price(model, ModelState(t=t, xi=xi), T), rel=1e-15)
     assert slope == pytest.approx(lr.bond_volatility(model, ModelState(t=t, xi=xi), T), abs=1e-10)
     h = 1e-4
     up, down = (math.log(lr.bond_price(model, ModelState(t=t, xi=xi + d), T)) for d in (h, -h))
@@ -778,9 +795,11 @@ def test_bond_slope_is_the_bond_volatility(name, all_figure_models):
 
 @pytest.mark.parametrize("xi", [20.0, -20.0])
 def test_split_path_matches_mpmath(xi):
-    # a steep tilt at a tight tolerance makes refine bisect panels; the
-    # oracle integrates the closed-form gbm integrand over the same
-    # truncated range [2, S_max] with mpmath
+    # a steep tilt at a tight tolerance: from T = 2, refine climbs the
+    # rule's ladder to 24 nodes at xi = 20, while at xi = -20 the tilt damps
+    # the near maturities and 16 nodes meet rel_tol; the oracle integrates
+    # the closed-form gbm integrand over the same truncated range [2, S_max]
+    # with mpmath
     import mpmath
 
     y, c, b, t = 0.03, 5.0, 1.0, 1.0
@@ -791,9 +810,9 @@ def test_split_path_matches_mpmath(xi):
         rel_tol=1e-13,
     )
     ev = model.evaluator(t)
-    panels = len(ev._edges) - 1
     got = kernel_integral(model, ModelState(t=t, xi=xi), 2.0)
-    assert len(ev._edges) - 1 > panels
+    phi, _, _ = ev._rules[(2.0,)][0]
+    assert phi.size // 2 == (24 if xi > 0 else _RULE_NODES)
 
     with mpmath.workdps(30):
         def f(s):
@@ -804,23 +823,16 @@ def test_split_path_matches_mpmath(xi):
         ref = float(mpmath.quad(f, [2, 3, 5, 10, 20, 50, 100, 200, 400, S]))
     assert got == pytest.approx(ref, rel=1e-12)
 
-    edges = ev._edges
-    assert edges[0] == t and edges[-1] == ev.S
-    assert np.all(np.diff(edges) > 0.0)
 
-
-def test_refine_budget_error_names_the_state(flat2):
-    # a tolerance below rounding: after the panels that bond_price refines
-    # from t, those from T split up to the budget, and the error must say
-    # which valuation time, bound and driver value failed
-    model = lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.02), rel_tol=1e-17)
-    ev = model.evaluator(1.0)
-    ev.refine(0.2, 1.0)
-    message = r"t=1\.0, lower=3\.0, xi=0\.2\): no convergence after 2000 panels"
+def test_refine_budget_error_names_the_state():
+    # bench gamma model at a draw far in its tail: the rule climbs to the
+    # top of its ladder without agreeing, and the error must say which
+    # valuation time, bounds and driver value failed
+    ev = _bench_model("gamma").evaluator(1.0)
+    message = r"kernel rule \(t=1\.0, bounds=\[1\.0, 3\.0\], xi=10000\.0\): 384 and 192 nodes differ by"
     with pytest.raises(lr.QuadratureError, match=message) as exc_info:
-        ev.refine(0.2, 3.0)
-    assert exc_info.value.panels == MAX_PANELS
-    assert exc_info.value.rel_err > 0.0
+        ev.refine(1e4, 1.0, 3.0)
+    assert exc_info.value.rel_err > 1e-10
 
 
 def test_evaluator_cache_is_bounded(flat2):

@@ -164,7 +164,6 @@ def test_exp_decay_phi_classes_and_bounds():
     dec = ExpDecayPhi(c=0.3, b=0.02)
     assert dec.monotonicity == "positive-decreasing"
     assert dec.range_bounds(10.0) == (pytest.approx(0.3 * math.exp(-0.2)), 0.3)
-    assert dec.tail_sup_abs(10.0) == pytest.approx(0.3 * math.exp(-0.2))
 
     inc = ExpDecayPhi(c=-1.0, b=0.02)
     assert inc.monotonicity == "negative-increasing"
@@ -190,8 +189,6 @@ def test_gaussian_bump_phi():
     # horizon short of the center: the peak is not attained
     lo2, hi2 = bump.range_bounds(1.0)
     assert hi2 == pytest.approx(bump(1.0))
-    assert bump.tail_sup_abs(1.0) == pytest.approx(0.4)
-    assert bump.tail_sup_abs(5.0) == pytest.approx(abs(bump(5.0)))
     with pytest.raises(DomainError):
         GaussianBumpPhi(height=0.4, center=3.0, width=0.0)
 

@@ -339,6 +339,26 @@ def test_pipeline_prices_within_bounds_and_decreasing_in_strike(case):
     assert all(b <= a + 1e-9 * P0T for a, b in zip(prices, prices[1:])), prices
 
 
+def test_closed_form_price_does_not_depend_on_what_the_model_priced_before():
+    # the price command's order on fig4: the state's bonds, short rate and
+    # forwards at t = 1, then the calls at expiry 1, on one model. Every
+    # call must get the bits a fresh model gives it: the evaluator at t = 1
+    # keeps only rules, and the solve checks its own before it reads one
+    from levyrates.cli import load_config, model_from_config
+
+    cfg = load_config(str(CONFIGS / "fig4_vg.json"))
+    p = cfg["price"]
+    model, state = model_from_config(cfg), ModelState(t=p["t"], xi=p["xi"])
+    for T in p["maturities"]:
+        bond_price(model, state, T)
+    lr.short_rate(model, state)
+    for T in p["maturities"]:
+        lr.forward_rate(model, state, T)
+    for o in p["options"]:
+        spec = OptionSpec(**o)
+        assert price_call(model, spec) == price_call(model_from_config(cfg), spec), spec
+
+
 def test_degenerate_expiries(gbm_model):
     P0 = gbm_model.ts.discount_factor
     now = price_call(gbm_model, OptionSpec(expiry=0.0, maturity=3.0, strike=0.5))

@@ -58,10 +58,10 @@ ORACLES = {
     ),
     "PhiFunction": (
         ["test_martingales::test_exp_decay_phi_classes_and_bounds", "test_martingales::test_gaussian_bump_phi"],
-        "closed-form ranges and tail bounds of both tilts",
+        "closed-form ranges of both tilts",
     ),
-    "ExpDecayPhi": (["test_martingales::test_exp_decay_phi_classes_and_bounds"], "closed-form range and tail bound"),
-    "GaussianBumpPhi": (["test_martingales::test_gaussian_bump_phi"], "closed-form peak, range and tail bound"),
+    "ExpDecayPhi": (["test_martingales::test_exp_decay_phi_classes_and_bounds"], "closed-form range"),
+    "GaussianBumpPhi": (["test_martingales::test_gaussian_bump_phi"], "closed-form peak and range"),
     "martingale_value": (
         ["test_martingales::test_unit_mean_monte_carlo", "test_acceptance::test_criterion_1_martingale_unit_mean"],
         "unit mean over exact draws",
@@ -75,8 +75,12 @@ ORACLES = {
         "the model's integrals, written again from its primitives on a fixed rule and in mpmath",
     ),
     "kernel_integral": (
-        ["test_curve::test_kernel_integral_matches_brute_force", "test_curve::test_split_path_matches_mpmath"],
-        "a 4,000-panel fixed rule written from the primitives; mpmath",
+        [
+            "test_curve::test_kernel_integral_matches_brute_force",
+            "test_curve::test_kernel_integral_matches_mpmath",
+            "test_curve::test_split_path_matches_mpmath",
+        ],
+        "a 4,000-panel fixed rule written from the primitives; 30-digit mpmath, from t and from T",
     ),
     "bond_price": _BOND,
     "short_rate": (["test_curve::test_forward_and_short_rate_match_mpmath"], "30-digit mpmath at T = t"),
