@@ -735,6 +735,38 @@ def test_refinement_is_stable_under_repetition(gbm_model):
     assert ev.log_integral(0.3, 0.5) == first
 
 
+@pytest.mark.parametrize("lowers", [(1.0, 3.0), (3.0, 1.0)], ids=["t-T", "T-t"])
+@pytest.mark.parametrize(
+    "xi, warm, climbs", [(0.3, True, False), (25.0, True, False), (0.3, False, False), (40.0, True, True)]
+)
+def test_refine_of_several_bounds_leaves_the_panels_of_one_refine_per_bound(xi, warm, climbs, lowers, flat2):
+    # one call checks one rule for all its bounds, in the order given: the
+    # node sets from each bound have the node count of the most demanding
+    # single refine, its values at xi are those of one refine per bound to
+    # rel_tol, and refines at another draw before it change none of its bits
+    def evaluator(warm):
+        model = lr.RateModel(ts=flat2, fam=lr.BrownianFamily(), phi=lr.ExpDecayPhi(c=1.0, b=0.5))
+        ev = model.evaluator(1.0)
+        if warm:
+            ev.refine(0.0, 1.0)
+            ev.refine(0.0, 3.0)
+        return ev
+
+    shared, single, cold = evaluator(warm), evaluator(warm), evaluator(False)
+    shared.refine(xi, *lowers)
+    cold.refine(xi, *lowers)
+    for L in lowers:
+        single.refine(xi, L)
+    rule, checked, logs = shared._rules[lowers]
+    nodes = max(single._rules[(L,)][0][0].size // 2 for L in lowers)
+    assert checked == xi
+    assert rule[0].size == 3 * nodes
+    assert (nodes > _RULE_NODES) == climbs
+    singles = [single._rules[(L,)][2][0] for L in lowers]
+    assert logs.tolist() == pytest.approx(singles, rel=shared.model.rel_tol)
+    assert np.array_equal(cold._rules[lowers][2], logs)
+
+
 @pytest.mark.parametrize("xi, nodes", [(0.3, _RULE_NODES), (40.0, 24)])
 def test_refine_checks_a_tuple_of_bounds_in_one_call(xi, nodes, flat2, monkeypatch):
     # refine(xi, t, T) checks the rule once for both bounds, as a one-draw
